@@ -18,9 +18,8 @@ use slash_core::{CostCategory, CostModel, EngineMetrics, QueryPlan, Sink, SinkRe
 use slash_desim::{Link, ProcId, Process, Sim, SimTime, Step};
 use slash_net::{create_channel, socket_pair, ChannelConfig, SocketConfig};
 use slash_rdma::{Fabric, FabricConfig, NodeId};
-use slash_state::backend::TriggeredData;
 use slash_state::hash::hash_u64;
-use slash_state::{pack_key, Partition};
+use slash_state::{pack_key, unpack_key, DrainedValue, Partition};
 
 use crate::exchange::{ExchangeMsg, RxChan, TxChan};
 use crate::sut::CommonReport;
@@ -381,45 +380,41 @@ impl ReceiverProc {
         let wm = *self.lane_wm.iter().min().expect("lanes > 0");
         let plan = Rc::clone(&self.plan);
         let window = plan.window();
-        let mut ready_keys = Vec::new();
-        self.state.for_each_key(|key, _| {
-            let wid = (key >> 64) as u64;
-            if window.ready(wid, wm) {
-                ready_keys.push(key);
-            }
-        });
-        let mut cpu = 0.0;
-        for key in ready_keys {
-            let wid = (key >> 64) as u64;
-            let gkey = key as u64;
-            let data = if self.state.descriptor().is_appended() {
-                let mut elems = Vec::new();
-                self.state.for_each_element(key, |e| elems.push(e.to_vec()));
-                TriggeredData::Elements(elems)
-            } else {
-                TriggeredData::Fixed(self.state.get(key).expect("listed").to_vec())
-            };
-            self.state.remove(key);
-            cpu += self.cost.merge_entry_ns * self.rf;
-            match (&*plan, data) {
-                (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(v)) => {
-                    sh.sink.push(SinkResult::Agg {
-                        window_id: wid,
-                        key: gkey,
-                        value: agg.render(&v),
-                    });
-                }
-                (QueryPlan::Join { .. }, TriggeredData::Elements(elems)) => {
-                    cpu += 2.0 * self.rf * elems.len() as f64;
-                    sh.sink.push(SinkResult::Join {
-                        window_id: wid,
-                        key: gkey,
-                        pairs: slash_core::join::pair_count(&elems, &window),
-                    });
-                }
-                _ => unreachable!("plan/state mismatch"),
-            }
+        // `ready` is monotone in the window id: if the oldest live window
+        // is not ready, none is.
+        if !window.ready(self.state.min_window(), wm) {
+            return 0.0;
         }
+        let (merge_entry_ns, rf) = (self.cost.merge_entry_ns, self.rf);
+        let mut cpu = 0.0;
+        self.state.drain_ready(
+            |wid| window.ready(wid, wm),
+            |key, value| {
+                let (window_id, key) = unpack_key(key);
+                cpu += merge_entry_ns * rf;
+                match (&*plan, value) {
+                    (QueryPlan::Aggregate { agg, .. }, DrainedValue::Fixed(v)) => {
+                        sh.sink.push(SinkResult::Agg {
+                            window_id,
+                            key,
+                            value: agg.render(v),
+                        });
+                    }
+                    (QueryPlan::Join { .. }, DrainedValue::Elements(elems)) => {
+                        let mut n = 0u64;
+                        let pairs =
+                            slash_core::join::pair_count_iter(elems.inspect(|_| n += 1), &window);
+                        cpu += 2.0 * rf * n as f64;
+                        sh.sink.push(SinkResult::Join {
+                            window_id,
+                            key,
+                            pairs,
+                        });
+                    }
+                    _ => unreachable!("plan/state mismatch"),
+                }
+            },
+        );
         cpu
     }
 }

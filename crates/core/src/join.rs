@@ -26,29 +26,45 @@ fn decode(elem: &[u8]) -> Option<(u64, bool)> {
 /// Count left × right combinations of a triggered element list under the
 /// window's semantics. Returns the number of emitted pairs.
 pub fn pair_count(elems: &[Vec<u8>], window: &WindowAssigner) -> u64 {
+    pair_count_iter(elems.iter().map(Vec::as_slice), window)
+}
+
+/// [`pair_count`] over borrowed elements in one pass — the trigger counts
+/// a drained chain straight out of the log, with no owned copies.
+pub fn pair_count_iter<'a>(
+    elems: impl IntoIterator<Item = &'a [u8]>,
+    window: &WindowAssigner,
+) -> u64 {
     match *window {
         WindowAssigner::Session { gap } => session_pair_count(elems, gap),
         _ => {
-            let left = elems.iter().filter(|e| e[0] == 0).count() as u64;
-            let right = elems.len() as u64 - left;
-            left * right
+            let (mut left, mut total) = (0u64, 0u64);
+            for e in elems {
+                left += u64::from(e[0] == 0);
+                total += 1;
+            }
+            left * (total - left)
         }
     }
 }
 
 /// Session-window pairing: split by the gap rule, pair within sessions.
-fn session_pair_count(elems: &[Vec<u8>], gap: u64) -> u64 {
-    let mut events: Vec<(u64, bool)> = Vec::with_capacity(elems.len());
+fn session_pair_count<'a>(elems: impl IntoIterator<Item = &'a [u8]>, gap: u64) -> u64 {
+    let mut events: Vec<(u64, bool)> = Vec::new();
+    let (mut left, mut total) = (0u64, 0u64);
+    // Elements without timestamps cannot be split; if any occurs, fall
+    // back to one session (the conservative bucket semantics).
+    let mut bucketed = false;
     for e in elems {
+        left += u64::from(e[0] == 0);
+        total += 1;
         match decode(e) {
             Some(ev) => events.push(ev),
-            None => {
-                // Elements without timestamps cannot be split; fall back
-                // to one session (the conservative bucket semantics).
-                let left = elems.iter().filter(|x| x[0] == 0).count() as u64;
-                return left * (elems.len() as u64 - left);
-            }
+            None => bucketed = true,
         }
+    }
+    if bucketed {
+        return left * (total - left);
     }
     events.sort_unstable_by_key(|&(ts, _)| ts);
     let mut total = 0u64;

@@ -55,18 +55,27 @@ impl WindowAssigner {
     /// completes. For sliding windows a slice is shared by several
     /// windows; the slice is safe to retire once the **last** window that
     /// contains it closes.
+    ///
+    /// Saturates at `u64::MAX` instead of wrapping (RO's unbounded
+    /// window ends past `u64::MAX` from bucket 4 on), so it is
+    /// non-decreasing in `wid`: the property the incremental trigger
+    /// gate relies on.
     #[inline]
     pub fn retire_end(&self, wid: u64) -> u64 {
         match *self {
-            WindowAssigner::Tumbling { size } => (wid + 1) * size,
+            WindowAssigner::Tumbling { size } => wid.saturating_add(1).saturating_mul(size),
             // Slice wid covers [wid·slide, (wid+1)·slide); the last window
             // containing it starts at wid·slide and ends size later.
-            WindowAssigner::Sliding { size, slide } => wid * slide + size,
-            WindowAssigner::Session { gap } => (wid + 2) * gap,
+            WindowAssigner::Sliding { size, slide } => {
+                wid.saturating_mul(slide).saturating_add(size)
+            }
+            WindowAssigner::Session { gap } => wid.saturating_add(2).saturating_mul(gap),
         }
     }
 
     /// Whether bucket `wid` may trigger under global low watermark `wm`.
+    /// Monotone in both arguments: a later bucket is never ready before
+    /// an earlier one, and a ready bucket stays ready as `wm` grows.
     #[inline]
     pub fn ready(&self, wid: u64, wm: u64) -> bool {
         wm >= self.retire_end(wid)
@@ -146,6 +155,46 @@ mod tests {
             // Monotone, repeated, and backwards timestamps all agree.
             for ts in [0, 1, 99, 99, 100, 250, 249, 1000, 3, u64::MAX - 1] {
                 assert_eq!(memo.assign(ts), w.assign(ts), "{w:?} ts={ts}");
+            }
+        }
+    }
+
+    #[test]
+    fn retire_end_is_non_decreasing_even_past_overflow() {
+        let ro = WindowAssigner::Tumbling { size: u64::MAX / 4 };
+        // (4 + 1) · (u64::MAX / 4) wraps; saturation keeps bucket 4 far
+        // in the future instead of making it look ready.
+        assert_eq!(ro.retire_end(4), u64::MAX);
+        assert!(!ro.ready(4, 1_000));
+        for w in [
+            WindowAssigner::Tumbling { size: 100 },
+            WindowAssigner::Sliding {
+                size: 300,
+                slide: 100,
+            },
+            WindowAssigner::Session { gap: 50 },
+            ro,
+            WindowAssigner::Sliding {
+                size: u64::MAX / 2,
+                slide: u64::MAX / 8,
+            },
+            WindowAssigner::Session { gap: u64::MAX / 3 },
+        ] {
+            // Small ids, every id around each assigner's overflow point,
+            // and the top of the range.
+            let mut wids: Vec<u64> = (0..64).collect();
+            for edge in [u64::MAX / w.granule(), u64::MAX / 2, u64::MAX - 2] {
+                wids.extend(edge.saturating_sub(3)..=edge.saturating_add(2));
+            }
+            wids.push(u64::MAX);
+            wids.sort_unstable();
+            for pair in wids.windows(2) {
+                assert!(
+                    w.retire_end(pair[0]) <= w.retire_end(pair[1]),
+                    "{w:?}: retire_end({}) > retire_end({})",
+                    pair[0],
+                    pair[1]
+                );
             }
         }
     }

@@ -7,8 +7,10 @@
 //!    deltas, merging inbound ones);
 //! 2. **compute coroutines** — processing one batch of records through the
 //!    fused pipeline, updating SSB state eagerly;
-//! 3. **trigger duty** (worker 0 of each node) — scanning the primary
-//!    partition for windows the vector clock has released.
+//! 3. **trigger duty** (worker 0 of each node) — firing the windows the
+//!    vector clock has released. A step does nothing unless the primary
+//!    partition's oldest live window is ready; then one pass over the
+//!    partition drains every ready window (see `SsbNode::drain_ready`).
 //!
 //! All costs are charged in virtual time from the [`CostModel`]; state
 //! accesses additionally consume the node's shared memory-bandwidth link,
@@ -16,12 +18,13 @@
 //! like the paper's Table 1 measures.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use slash_desim::{Link, ProcId, Process, Sim, SimTime, Step};
 use slash_obs::{Cat, Obs, Stage};
-use slash_state::backend::{SsbNode, TriggeredData, TriggeredValue};
-use slash_state::pack_key;
+use slash_state::backend::SsbNode;
+use slash_state::{pack_key, DrainedValue};
 
 use crate::cost::CostModel;
 use crate::hotpath::HotPath;
@@ -407,70 +410,89 @@ impl SlashWorker {
             Some(f) => sh.ssb.vclock().min().min(f.floor()),
             None => sh.ssb.vclock().min(),
         };
-        let mut drained: Vec<TriggeredValue> = Vec::new();
-        sh.ssb
-            .drain_triggered(|wid| window.ready(wid, wm), |tv| drained.push(tv));
-        if drained.is_empty() {
+        // `ready` is monotone in the window id, so if the oldest live
+        // window is not ready, none is: skip the pass over the partition.
+        if !window.ready(sh.ssb.min_live_window(), wm) {
             return 0.0;
         }
+        let ready = |wid| window.ready(wid, wm);
         let mut cpu = 0.0;
-        let slices = window.slices_per_window();
+        let merge_entry_ns = self.cost.merge_entry_ns;
         let NodeShared {
             ssb, sink, metrics, ..
         } = sh;
+        let agg = match &*plan {
+            QueryPlan::Join { .. } => {
+                ssb.drain_ready(ready, |window_id, key, value| {
+                    let DrainedValue::Elements(elems) = value else {
+                        unreachable!("join state is holistic");
+                    };
+                    let mut n = 0u64;
+                    let pairs = crate::join::pair_count_iter(elems.inspect(|_| n += 1), &window);
+                    cpu += 2.0 * n as f64; // probe per element
+                    metrics.instr(instr::MERGE * n);
+                    sink.push(SinkResult::Join {
+                        window_id,
+                        key,
+                        pairs,
+                    });
+                });
+                return cpu;
+            }
+            QueryPlan::Aggregate { agg, .. } => agg,
+        };
+        let slices = window.slices_per_window();
+        if slices == 1 {
+            ssb.drain_ready(ready, |window_id, key, value| {
+                let DrainedValue::Fixed(v) = value else {
+                    unreachable!("aggregate state is fixed-size");
+                };
+                sink.push(SinkResult::Agg {
+                    window_id,
+                    key,
+                    value: agg.render(v),
+                });
+                cpu += merge_entry_ns;
+                metrics.instr(instr::MERGE);
+            });
+            return cpu;
+        }
         // Sliding windows: a window is its first slice merged with the
         // k-1 following ones. Later slices may retire in the *same*
         // sweep (and are then gone from the state), so look them up in
         // the drained batch first and fall back to peeking live state.
-        let drained_values: std::collections::BTreeMap<(u64, u64), Vec<u8>> = if slices > 1 {
-            drained
-                .iter()
-                .filter_map(|tv| match &tv.data {
-                    TriggeredData::Fixed(v) => {
-                        Some(((tv.window_id, tv.key), v.clone()))
-                    }
-                    TriggeredData::Elements(_) => None,
-                })
-                .collect()
-        } else {
-            std::collections::BTreeMap::new()
-        };
-        for tv in drained {
-            match (&*plan, tv.data) {
-                (QueryPlan::Aggregate { agg, .. }, TriggeredData::Fixed(mut value)) => {
-                    if slices > 1 {
-                        let desc = agg.descriptor();
-                        for s in 1..slices {
-                            let sibling = (tv.window_id + s, tv.key);
-                            if let Some(other) = drained_values
-                                .get(&sibling)
-                                .map(|v| v.as_slice())
-                                .or_else(|| ssb.local_get(pack_key(sibling.0, sibling.1)))
-                            {
-                                (desc.merge)(&mut value, other);
-                                cpu += self.cost.merge_entry_ns;
-                            }
-                        }
-                    }
-                    sink.push(SinkResult::Agg {
-                        window_id: tv.window_id,
-                        key: tv.key,
-                        value: agg.render(&value),
-                    });
-                    cpu += self.cost.merge_entry_ns;
-                    metrics.instr(instr::MERGE);
+        let mut drained: Vec<(u64, u64, Vec<u8>)> = Vec::new();
+        ssb.drain_ready(ready, |window_id, key, value| {
+            let DrainedValue::Fixed(v) = value else {
+                unreachable!("aggregate state is fixed-size");
+            };
+            drained.push((window_id, key, v.to_vec()));
+        });
+        let drained_values: BTreeMap<(u64, u64), &[u8]> = drained
+            .iter()
+            .map(|(window_id, key, v)| ((*window_id, *key), v.as_slice()))
+            .collect();
+        let desc = agg.descriptor();
+        for (window_id, key, v) in &drained {
+            let mut value = v.clone();
+            for s in 1..slices {
+                let sibling = (window_id + s, *key);
+                if let Some(other) = drained_values
+                    .get(&sibling)
+                    .copied()
+                    .or_else(|| ssb.local_get(pack_key(sibling.0, sibling.1)))
+                {
+                    (desc.merge)(&mut value, other);
+                    cpu += merge_entry_ns;
                 }
-                (QueryPlan::Join { .. }, TriggeredData::Elements(elems)) => {
-                    cpu += 2.0 * elems.len() as f64; // probe per element
-                    metrics.instr(instr::MERGE * elems.len() as u64);
-                    sink.push(SinkResult::Join {
-                        window_id: tv.window_id,
-                        key: tv.key,
-                        pairs: crate::join::pair_count(&elems, &window),
-                    });
-                }
-                (plan, data) => unreachable!("plan/state mismatch: {plan:?} vs {data:?}"),
             }
+            sink.push(SinkResult::Agg {
+                window_id: *window_id,
+                key: *key,
+                value: agg.render(&value),
+            });
+            cpu += merge_entry_ns;
+            metrics.instr(instr::MERGE);
         }
         cpu
     }

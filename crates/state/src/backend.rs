@@ -11,7 +11,7 @@ use crate::coherence::{DeltaReceiver, DeltaSender, StateError};
 use crate::combiner::WriteCombiner;
 use crate::descriptor::StateDescriptor;
 use crate::hash::{pack_key, partition_of, unpack_key, StateKey};
-use crate::partition::Partition;
+use crate::partition::{DrainedValue, Partition};
 use crate::split::{SplitLedger, SUB_KEY_TAG};
 use crate::vclock::VectorClock;
 
@@ -426,135 +426,68 @@ impl SsbNode {
         self.heat.as_ref()
     }
 
+    /// A lower bound on the window id of every live key of this node's
+    /// primary partition (`u64::MAX` when it is empty); see
+    /// [`Partition::min_window`]. A trigger whose readiness is monotone in
+    /// the window id has nothing to drain while this bound is not ready.
+    pub fn min_live_window(&self) -> u64 {
+        self.fragments[self.node].min_window()
+    }
+
     /// Drain every `(window, key)` of this node's primary partition whose
     /// window satisfies `ready` — the leader-side window trigger. Values
     /// are removed from the state (windows fire once), and their log
-    /// entries are garbage collected.
-    ///
-    /// When a split ledger is active, the constituents of a split
-    /// `(window, key)` — its per-replica sub-keys plus any canonical
-    /// entry — are folded into one value with the descriptor's CRDT merge
-    /// and emitted once under the canonical key: the reconciliation half
-    /// of hot-key splitting. Sub-keys share the canonical key's window id
-    /// and leader, so a ready window always drains all its constituents
-    /// together.
+    /// entries are garbage collected. This is [`Self::drain_ready`] with
+    /// each lent value copied out.
     pub fn drain_triggered(
         &mut self,
         ready: impl Fn(u64) -> bool,
         mut emit: impl FnMut(TriggeredValue),
     ) -> usize {
-        let primary = &mut self.fragments[self.node];
-        let mut keys = Vec::new();
-        primary.for_each_key(|key, _| {
-            let (wid, _) = unpack_key(key);
-            if ready(wid) {
-                keys.push(key);
-            }
-        });
-        if self.split.as_ref().is_some_and(|l| !l.is_empty()) {
-            return self.drain_split(keys, emit);
-        }
-        for &key in &keys {
-            let (window_id, k) = unpack_key(key);
-            let data = if primary.descriptor().is_appended() {
-                let mut elems = Vec::new();
-                primary.for_each_element(key, |e| elems.push(e.to_vec()));
-                TriggeredData::Elements(elems)
-            } else {
-                // Keys were collected from `for_each_key` just above with no
-                // intervening mutation; a vanished key would indicate index
-                // corruption, so skip it rather than panic.
-                let Some(value) = primary.get(key) else {
-                    debug_assert!(false, "key listed by for_each_key has a value");
-                    continue;
-                };
-                TriggeredData::Fixed(value.to_vec())
+        self.drain_ready(ready, |window_id, key, value| {
+            let data = match value {
+                DrainedValue::Fixed(v) => TriggeredData::Fixed(v.to_vec()),
+                DrainedValue::Elements(elems) => {
+                    TriggeredData::Elements(elems.map(<[u8]>::to_vec).collect())
+                }
             };
-            primary.remove(key);
             emit(TriggeredValue {
                 window_id,
-                key: k,
+                key,
                 data,
-            });
-        }
-        keys.len()
+            })
+        })
     }
 
-    /// The split-aware drain: plain `(window, key)` entries emit exactly
-    /// as in the unsplit path; the constituents of each split key — its
-    /// per-replica sub-keys and any canonical entry — fold into one value
-    /// via the descriptor's CRDT `merge`, emitted once under the
-    /// canonical key.
-    fn drain_split(
+    /// Drain every `(window, key)` of the primary partition whose window
+    /// satisfies `ready` in one pass ([`Partition::drain_ready`]), lending
+    /// `f(window_id, key, value)` each value in index order. Returns the
+    /// number of state entries drained.
+    ///
+    /// When a split ledger is active, the constituents of a split
+    /// `(window, key)` — its per-replica sub-keys plus any canonical
+    /// entry — are folded into one value with the descriptor's CRDT merge
+    /// and lent once under the canonical key, after every plain entry:
+    /// the reconciliation half of hot-key splitting. Sub-keys share the
+    /// canonical key's window id and leader, so a ready window always
+    /// drains all its constituents together.
+    pub fn drain_ready(
         &mut self,
-        keys: Vec<StateKey>,
-        mut emit: impl FnMut(TriggeredValue),
+        ready: impl Fn(u64) -> bool,
+        mut f: impl FnMut(u64, u64, DrainedValue<'_>),
     ) -> usize {
-        let appended = self.fragments[self.node].descriptor().is_appended();
-        let mut plain: Vec<StateKey> = Vec::new();
-        let mut groups: BTreeMap<StateKey, Vec<StateKey>> = BTreeMap::new();
-        if let Some(ledger) = self.split.as_ref().filter(|_| !appended) {
-            for &key in &keys {
-                let (wid, gk) = unpack_key(key);
-                if gk & SUB_KEY_TAG != 0 {
-                    match ledger.canonical_of(gk) {
-                        Some((canon, _)) => {
-                            groups.entry(pack_key(wid, canon)).or_default().push(key);
-                        }
-                        // An orphan sub-key (ledger replaced mid-flight)
-                        // still drains — as its own result, never lost.
-                        None => plain.push(key),
-                    }
-                } else if ledger.is_split(gk) {
-                    groups.entry(key).or_default().push(key);
-                } else {
-                    plain.push(key);
-                }
-            }
-        } else {
-            // Appended (holistic) state never splits — `split_activate`
-            // gates on the descriptor — so drain everything plainly.
-            plain = keys.clone();
-        }
         let primary = &mut self.fragments[self.node];
-        for &key in &plain {
-            let (window_id, k) = unpack_key(key);
-            let data = if appended {
-                let mut elems = Vec::new();
-                primary.for_each_element(key, |e| elems.push(e.to_vec()));
-                TriggeredData::Elements(elems)
-            } else {
-                let Some(value) = primary.get(key) else {
-                    debug_assert!(false, "key listed by for_each_key has a value");
-                    continue;
-                };
-                TriggeredData::Fixed(value.to_vec())
-            };
-            primary.remove(key);
-            emit(TriggeredValue {
-                window_id,
-                key: k,
-                data,
-            });
-        }
-        let desc = *primary.descriptor();
-        for (canon_key, members) in &groups {
-            let (window_id, canon_gk) = unpack_key(*canon_key);
-            let mut acc = vec![0u8; desc.fixed_size()];
-            (desc.init)(&mut acc);
-            for &member in members {
-                if let Some(value) = primary.get(member) {
-                    (desc.merge)(&mut acc, value);
-                }
-                primary.remove(member);
+        // Appended (holistic) state never splits — `split_activate`
+        // gates on the descriptor — so it always drains plainly.
+        match self.split.as_ref() {
+            Some(ledger) if !ledger.is_empty() && !primary.descriptor().is_appended() => {
+                drain_split(primary, ledger, ready, f)
             }
-            emit(TriggeredValue {
-                window_id,
-                key: canon_gk,
-                data: TriggeredData::Fixed(acc),
-            });
+            _ => primary.drain_ready(ready, |key, value| {
+                let (window_id, k) = unpack_key(key);
+                f(window_id, k, value)
+            }),
         }
-        keys.len()
     }
 
     /// Serialize this node's primary partition at the current epoch
@@ -871,6 +804,47 @@ impl SsbNode {
             }
         }
     }
+}
+
+/// The split-aware drain: plain `(window, key)` entries are lent exactly
+/// as in the unsplit path; the constituents of each split key — its
+/// per-replica sub-keys and any canonical entry — fold into one value via
+/// the descriptor's CRDT `merge`, lent once under the canonical key after
+/// the pass, in canonical-key order.
+fn drain_split(
+    primary: &mut Partition,
+    ledger: &SplitLedger,
+    ready: impl Fn(u64) -> bool,
+    mut f: impl FnMut(u64, u64, DrainedValue<'_>),
+) -> usize {
+    let desc = *primary.descriptor();
+    let mut groups: BTreeMap<StateKey, Vec<u8>> = BTreeMap::new();
+    let drained = primary.drain_ready(ready, |key, value| {
+        let (wid, gk) = unpack_key(key);
+        let canon = if gk & SUB_KEY_TAG != 0 {
+            // An orphan sub-key (ledger replaced mid-flight) still
+            // drains — as its own result, never lost.
+            ledger.canonical_of(gk).map(|(canon, _)| canon)
+        } else {
+            ledger.is_split(gk).then_some(gk)
+        };
+        match (canon, value) {
+            (Some(canon), DrainedValue::Fixed(v)) => {
+                let acc = groups.entry(pack_key(wid, canon)).or_insert_with(|| {
+                    let mut acc = vec![0u8; desc.fixed_size()];
+                    (desc.init)(&mut acc);
+                    acc
+                });
+                (desc.merge)(acc, v);
+            }
+            (_, value) => f(wid, gk, value),
+        }
+    });
+    for (canon_key, acc) in &groups {
+        let (window_id, canon_gk) = unpack_key(*canon_key);
+        f(window_id, canon_gk, DrainedValue::Fixed(acc));
+    }
+    drained
 }
 
 /// Build the SSB for a cluster: one [`SsbNode`] per executor and the
@@ -1194,6 +1168,13 @@ mod tests {
             ssb[leader2].fragments[leader2].get(key2).map(CounterCrdt::get),
             Some(18)
         );
+        // The leader's bound on live windows is exact after the drain and
+        // survives a snapshot restore; the other primary is empty.
+        assert_eq!(ssb[leader2].min_live_window(), 2);
+        let chunks = ssb[leader2].snapshot_primary(4096);
+        ssb[leader2].restore_primary(&chunks);
+        assert_eq!(ssb[leader2].min_live_window(), 2);
+        assert_eq!(ssb[1 - leader2].min_live_window(), u64::MAX);
     }
 
     /// Split/unsplit runs of the same update stream must trigger

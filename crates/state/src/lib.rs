@@ -51,7 +51,7 @@ pub use crdts::{CounterCrdt, MaxCrdt, MeanCrdt, MinCrdt, SumF64Crdt};
 pub use crdts_hll::HllCrdt;
 pub use descriptor::{StateDescriptor, ValueKind};
 pub use hash::{pack_key, unpack_key, StateKey};
-pub use partition::Partition;
+pub use partition::{DrainedValue, Partition};
 pub use snapshot::{chunks_digest, restore, snapshot_chunks};
 pub use split::{SplitLedger, SUB_KEY_TAG};
 pub use vclock::VectorClock;

@@ -169,9 +169,17 @@ impl Lss {
 
     /// Immutable view of the value at `addr`.
     pub fn value(&self, addr: u64) -> &[u8] {
+        self.entry(addr).1
+    }
+
+    /// The header and value of the entry at `addr`, decoding the header
+    /// once.
+    pub fn entry(&self, addr: u64) -> (EntryHeader, &[u8]) {
         let (si, off) = self.seg_of(addr);
-        let h = EntryHeader::decode(&self.segments[si].data[off..off + HEADER_SIZE]);
-        &self.segments[si].data[off + HEADER_SIZE..off + HEADER_SIZE + h.len as usize]
+        let data = &self.segments[si].data;
+        let h = EntryHeader::decode(&data[off..off + HEADER_SIZE]);
+        let value = &data[off + HEADER_SIZE..off + HEADER_SIZE + h.len as usize];
+        (h, value)
     }
 
     /// Mutable view of the value at `addr` (in-place RMW; callers must only

@@ -8,9 +8,15 @@
 use crate::combiner::WriteCombiner;
 use crate::descriptor::{StateDescriptor, ValueKind};
 use crate::entry::{EntryHeader, EntryKind, NO_PREV};
-use crate::hash::{hash_key, StateKey};
+use crate::hash::{hash_key, unpack_key, StateKey};
 use crate::index::HashIndex;
 use crate::log::Lss;
+
+/// The window id (high half) of a state key.
+#[inline]
+fn window_of(key: StateKey) -> u64 {
+    unpack_key(key).0
+}
 
 /// Operation counters (feed the micro-architecture proxies of §8.3).
 #[derive(Debug, Default, Clone, Copy)]
@@ -27,6 +33,37 @@ pub struct PartitionStats {
     pub epochs: u64,
 }
 
+/// A drained key's value, lent to the [`Partition::drain_ready`] callback
+/// for the duration of one call.
+pub enum DrainedValue<'a> {
+    /// Fixed-size CRDT state (aggregations).
+    Fixed(&'a [u8]),
+    /// Holistic state: the key's elements, newest first (joins).
+    Elements(Elements<'a>),
+}
+
+/// Newest-first iterator over the elements of one holistic key's chain.
+#[derive(Clone)]
+pub struct Elements<'a> {
+    log: &'a Lss,
+    /// Address of the next element, or [`NO_PREV`] once exhausted.
+    next: u64,
+    epoch_begin: u64,
+}
+
+impl<'a> Iterator for Elements<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.next == NO_PREV {
+            return None;
+        }
+        let (h, value) = self.log.entry(self.next);
+        self.next = if h.prev < self.epoch_begin { NO_PREV } else { h.prev };
+        Some(value)
+    }
+}
+
 /// One partition's local storage on one node.
 pub struct Partition {
     /// Partition id within the SSB.
@@ -37,6 +74,10 @@ pub struct Partition {
     epoch_begin: u64,
     /// Epoch counter, versioning the fragment's content (§7.2.2 step ①).
     epoch: u64,
+    /// Lower bound on the window id of every live key (`u64::MAX` when
+    /// the index is empty): lowered by every log append, reset by
+    /// `close_epoch`, set exactly by `drain_ready`.
+    min_window: u64,
     desc: StateDescriptor,
     /// Operation counters.
     pub stats: PartitionStats,
@@ -51,6 +92,7 @@ impl Partition {
             log: Lss::new(),
             epoch_begin: 0,
             epoch: 0,
+            min_window: u64::MAX,
             desc,
             stats: PartitionStats::default(),
         }
@@ -64,6 +106,7 @@ impl Partition {
             log: Lss::with_segment_size(seg),
             epoch_begin: 0,
             epoch: 0,
+            min_window: u64::MAX,
             desc,
             stats: PartitionStats::default(),
         }
@@ -82,6 +125,14 @@ impl Partition {
     /// Number of distinct live keys.
     pub fn key_count(&self) -> usize {
         self.index.len()
+    }
+
+    /// A lower bound on the window id of every live key; `u64::MAX` when
+    /// no key is live. Never above the true minimum, so a trigger whose
+    /// readiness is monotone in the window id may skip the partition
+    /// whenever this bound is not ready.
+    pub fn min_window(&self) -> u64 {
+        self.min_window
     }
 
     /// Resident log bytes (capacity planning / adaptive sizing stats).
@@ -124,6 +175,7 @@ impl Partition {
         debug_assert!(self.desc.is_appended(), "append on fixed state");
         let prev = self.find(key).unwrap_or(NO_PREV);
         let addr = self.log.append(key, prev, EntryKind::Appended, elem);
+        self.min_window = self.min_window.min(window_of(key));
         let log = &self.log;
         self.index.upsert(
             hash_key(key),
@@ -140,6 +192,7 @@ impl Partition {
 
     fn insert_fresh_hashed(&mut self, key: StateKey, hash: u64, kind: EntryKind, value: &[u8]) {
         let addr = self.log.append(key, NO_PREV, kind, value);
+        self.min_window = self.min_window.min(window_of(key));
         let log = &self.log;
         self.index.upsert(
             hash,
@@ -249,6 +302,7 @@ impl Partition {
         // One upsert per distinct key, in first-occurrence order — the
         // same index insertion sequence the per-record path produces.
         for (d, &(key, hash)) in distinct.iter().enumerate() {
+            self.min_window = self.min_window.min(window_of(key));
             if let Some(addr) = heads[d] {
                 let log = &self.log;
                 self.index.upsert(
@@ -276,19 +330,13 @@ impl Partition {
     }
 
     /// Visit every element of a holistic key's chain (newest first).
-    pub fn for_each_element(&self, key: StateKey, mut f: impl FnMut(&[u8])) {
-        let mut addr = match self.find(key) {
-            Some(a) => a,
-            None => return,
-        };
-        loop {
-            let h = self.log.header(addr);
-            f(self.log.value(addr));
-            if h.prev == NO_PREV || h.prev < self.epoch_begin {
-                break;
-            }
-            addr = h.prev;
+    pub fn for_each_element(&self, key: StateKey, f: impl FnMut(&[u8])) {
+        Elements {
+            log: &self.log,
+            next: self.find(key).unwrap_or(NO_PREV),
+            epoch_begin: self.epoch_begin,
         }
+        .for_each(f);
     }
 
     /// Number of elements in a holistic key's chain.
@@ -319,6 +367,7 @@ impl Partition {
         self.index.clear();
         self.log.kill_all();
         self.log.reclaim();
+        self.min_window = u64::MAX;
         self.epoch_begin = self.log.tail();
         self.epoch += 1;
         self.stats.epochs += 1;
@@ -354,20 +403,69 @@ impl Partition {
             .index
             .remove(hash_key(key), |a| log.key_at(a) == key);
         match removed {
-            Some(mut addr) => {
-                loop {
-                    let h = self.log.header(addr);
-                    self.log.note_dead(addr);
-                    if h.prev == NO_PREV || h.prev < self.epoch_begin {
-                        break;
-                    }
-                    addr = h.prev;
-                }
+            Some(addr) => {
+                kill_chain(&mut self.log, addr, self.epoch_begin);
                 self.log.reclaim();
                 true
             }
             None => false,
         }
+    }
+
+    /// Drain every key whose window id satisfies `ready`, in one pass over
+    /// the index: `f` is lent each drained key with its value, then the
+    /// key leaves the index, its chain dies, and the log reclaims once at
+    /// the end. Keys are visited in [`Self::for_each_key`] order, so a
+    /// drain emits exactly what listing the ready keys and then
+    /// `get`/`for_each_element` + `remove` on each would, in the same
+    /// order, leaving the same index and log behind. Afterwards
+    /// [`Self::min_window`] is the exact minimum over the keys kept, for
+    /// any `ready`, monotone or not. Returns the number of keys drained.
+    pub fn drain_ready(
+        &mut self,
+        ready: impl Fn(u64) -> bool,
+        mut f: impl FnMut(StateKey, DrainedValue<'_>),
+    ) -> usize {
+        let appended = self.desc.is_appended();
+        let epoch_begin = self.epoch_begin;
+        let log = &mut self.log;
+        let mut min_kept = u64::MAX;
+        let drained = self.index.retain(|addr| {
+            let (h, value) = log.entry(addr);
+            let wid = window_of(h.key);
+            if !ready(wid) {
+                min_kept = min_kept.min(wid);
+                return true;
+            }
+            let value = if appended {
+                DrainedValue::Elements(Elements {
+                    log: &*log,
+                    next: addr,
+                    epoch_begin,
+                })
+            } else {
+                DrainedValue::Fixed(value)
+            };
+            f(h.key, value);
+            kill_chain(log, addr, epoch_begin);
+            false
+        });
+        self.min_window = min_kept;
+        self.log.reclaim();
+        drained
+    }
+}
+
+/// Mark every entry of the chain whose newest entry is at `head` dead.
+fn kill_chain(log: &mut Lss, head: u64, epoch_begin: u64) {
+    let mut addr = head;
+    loop {
+        let prev = log.header(addr).prev;
+        log.note_dead(addr);
+        if prev == NO_PREV || prev < epoch_begin {
+            break;
+        }
+        addr = prev;
     }
 }
 

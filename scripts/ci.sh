@@ -5,29 +5,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/16] build (release, all targets)"
+echo "==> [1/17] build (release, all targets)"
 cargo build --release --workspace
 
-echo "==> [2/16] tests (unit + integration + fixtures + mutations)"
+echo "==> [2/17] tests (unit + integration + fixtures + mutations)"
 cargo test --workspace -q
 
-echo "==> [3/16] clippy (all targets, warnings are errors)"
+echo "==> [3/17] clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> [4/16] rustdoc (workspace docs, broken intra-doc links are errors)"
+echo "==> [4/17] rustdoc (workspace docs, broken intra-doc links are errors)"
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --quiet
 
-echo "==> [5/16] slash-lint (custom static analysis, burn-down allowlist)"
+echo "==> [5/17] slash-lint (custom static analysis, burn-down allowlist)"
 cargo run --release -p slash-verify --bin slash-lint
 
-echo "==> [6/16] slash-race (schedule exploration smoke: 128 tie-breaks)"
+echo "==> [6/17] slash-race (schedule exploration smoke: 128 tie-breaks)"
 # Sweeps all ten families, including the hot-split-recovery and
 # hot-split-handoff families (salted sub-key traffic interleaved with a
 # crash or planned cutover; convergence checks the canonical-plus-
 # sub-keys fold against the unsalted oracle).
 cargo run --release -p slash-verify --bin slash-race -- --seeds 128
 
-echo "==> [7/16] flight recorder (planted bug must be caught and dumped)"
+echo "==> [7/17] flight recorder (planted bug must be caught and dumped)"
 # Each planted-bug dump must carry the registry snapshot (counters,
 # gauges, histograms at failure time), not just the event ring.
 flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation ignore-credit-window)"
@@ -36,7 +36,7 @@ flight_out="$(cargo run --release -p slash-verify --bin slash-race -- --mutation
 grep -q "registry snapshot" <<<"$flight_out"
 echo "flight recorder: both planted bugs caught, dumps include registry snapshots"
 
-echo "==> [8/16] traced example (deterministic trace, validated JSON)"
+echo "==> [8/17] traced example (deterministic trace, validated JSON)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 SLASH_TRACE_OUT="$trace_dir/a.json" cargo run --release --example ysb_pipeline >/dev/null
@@ -45,17 +45,17 @@ cmp "$trace_dir/a.json" "$trace_dir/b.json"
 echo "trace: two same-seed runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/a.json"
 
-echo "==> [9/16] chaos suite (every fault type recovers to the no-fault state)"
+echo "==> [9/17] chaos suite (every fault type recovers to the no-fault state)"
 cargo run --release --bin chaos-suite
 
-echo "==> [10/16] recovery golden trace (failover example, byte-identical + validated)"
+echo "==> [10/17] recovery golden trace (failover example, byte-identical + validated)"
 SLASH_TRACE_OUT="$trace_dir/f_a.json" cargo run --release --example failover >/dev/null
 SLASH_TRACE_OUT="$trace_dir/f_b.json" cargo run --release --example failover >/dev/null
 cmp "$trace_dir/f_a.json" "$trace_dir/f_b.json"
 echo "recovery trace: two same-seed chaos runs byte-identical"
 cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/f_a.json"
 
-echo "==> [11/16] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
+echo "==> [11/17] hot-path perf smoke (wall-clock combiner gate + zipf split sweep)"
 # Writes BENCH_hotpath.json and exits non-zero if the combiner-on hot
 # loop is below 1.3x the per-record path on ysb_hot, or if any
 # workload's on/off state digests diverge. --zipf adds the skew sweep:
@@ -64,7 +64,7 @@ echo "==> [11/16] hot-path perf smoke (wall-clock combiner gate + zipf split swe
 # swept config must be bit-exact (results + state digests) vs unsplit.
 cargo run --release -p slash-bench --bin hotpath-bench -- --quick --zipf --out BENCH_hotpath.json
 
-echo "==> [12/16] cascading-fault matrix (compound faults converge exactly, golden traces)"
+echo "==> [12/17] cascading-fault matrix (compound faults converge exactly, golden traces)"
 # Release-mode run of the compound-fault tests: concurrent crashes,
 # buddy-dead re-selection, crash-during-recovery re-entrancy, wpn=2
 # promotion, and the same-seed byte-identical cascade trace. (Stage 9's
@@ -72,7 +72,7 @@ echo "==> [12/16] cascading-fault matrix (compound faults converge exactly, gold
 # the trace-level golden assertions.)
 cargo test --release --test chaos -q
 
-echo "==> [13/16] exhaustive model checker (bounded DFS over same-instant schedules)"
+echo "==> [13/17] exhaustive model checker (bounded DFS over same-instant schedules)"
 # Enumerates every distinct same-instant schedule of the 2-node
 # FIFO/credit scenario (literal, dedup-free pass must drain the frontier
 # with zero pruning) plus the single-crash recovery, single-handoff
@@ -93,7 +93,7 @@ cargo run --release -p slash-verify --bin slash-race -- \
     --exhaustive --minimize --mutation reorder-delivered >/dev/null
 echo "exhaustive: both planted mutants caught and minimized"
 
-echo "==> [14/16] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"
+echo "==> [14/17] tail-latency SLO gate (per-stage p99.99 budgets + regression vs baseline)"
 # Deterministic latency bench: fixed-seed ysb/nb7 under the simulator,
 # per-stage histograms (source, channel_transit, ssb_apply, window_close,
 # epoch_merge, result_emit) plus end-to-end. The gate fails on any
@@ -116,7 +116,7 @@ grep -q "flight-recorder dump" <<<"$plant_out"
 grep -q "registry snapshot" <<<"$plant_out"
 echo "latency: planted 10x ssb_apply regression caught with flight dump"
 
-echo "==> [15/16] elastic rescale gate (diurnal bench, golden trace, handoff races)"
+echo "==> [15/17] elastic rescale gate (diurnal bench, golden trace, handoff races)"
 # The diurnal 4->8->4 scale-out-and-back bench: zero lost records, results
 # and state digests bit-exact vs a static run of the same curve, zero
 # aborted migrations, full spread at peak, full pack-in at the end, and
@@ -134,7 +134,7 @@ cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/r_a.j
 # and handoff-vs-crash interleavings vs all six invariants.
 cargo run --release -p slash-verify --bin slash-race -- --scenario handoff --seeds 128
 
-echo "==> [16/16] thread-per-core backend (sim-vs-threaded digest smoke + clippy)"
+echo "==> [16/17] thread-per-core backend (sim-vs-threaded digest smoke + clippy)"
 # The threaded runtime makes no schedule-determinism promises, but final
 # state must be bit-identical to the deterministic simulator for the same
 # seed and workload. Release-mode run of the equivalence suite (2 seeds x
@@ -142,5 +142,18 @@ echo "==> [16/16] thread-per-core backend (sim-vs-threaded digest smoke + clippy
 # stress), then clippy over the executor crate on its own.
 cargo test --release -p slash-exec -q
 cargo clippy -p slash-exec --all-targets -- -D warnings
+
+echo "==> [17/17] slashbench (its own workspace: build, tests, one short run per workload)"
+# `slashbench` is a cargo workspace of its own, so the workspace build and
+# tests above never compile it, and an engine API change could break it
+# silently. Each workload then runs for 2 s. The gate is the exit code
+# only: every run's results and state digests must match the benchmark's
+# oracle (`correct: true`). No performance floor applies.
+cargo test --release --offline --manifest-path slashbench/Cargo.toml
+for workload in ysb_uniform nb8_join ysb_zipf_split; do
+    cargo run --release --offline --quiet --manifest-path slashbench/Cargo.toml -- \
+        --workload "$workload" --trace 0 --seconds 2 >/dev/null
+done
+echo "slashbench: builds, tests pass, every workload's runs check correct"
 
 echo "ci: all gates green"

@@ -126,3 +126,59 @@ fn stragglers_delay_but_never_corrupt() {
         assert_eq!(sum as u64, total, "seed {seed}");
     }
 }
+
+/// A record for a window that already fired still fires, on the very
+/// next trigger step. Late records must lower the leader's bound on its
+/// oldest live window, or the trigger would sit on them until the next
+/// window closes.
+#[test]
+fn late_records_fire_on_the_next_trigger_step() {
+    // Key 1 lands once in each window [0, 20); right after window 4 has
+    // fired (the record at ts 550 carries the watermark past 500), keys
+    // 2..=40 arrive for window 0, one per batch.
+    let late_keys = 2..=40u64;
+    let mut records: Vec<(u64, u64)> = Vec::new();
+    for w in 0..20u64 {
+        records.push((w * 100 + 50, 1));
+        if w == 5 {
+            records.extend(late_keys.clone().map(|k| (5, k)));
+        }
+    }
+    let plan = QueryPlan::Aggregate {
+        input: StreamDef::new(RecordSchema::plain(16)),
+        window: WindowAssigner::Tumbling { size: 100 },
+        agg: AggSpec::Count,
+    };
+    let mut cfg = RunConfig::new(1, 1);
+    cfg.collect_results = true;
+    cfg.batch_records = 1;
+    let report = SlashCluster::run(plan, vec![encode(&records)], cfg);
+
+    let fired: Vec<(u64, u64, u64)> = report
+        .results
+        .iter()
+        .map(|r| match r {
+            SinkResult::Agg {
+                window_id,
+                key,
+                value,
+            } => (*window_id, *key, *value as u64),
+            other => panic!("unexpected result {other:?}"),
+        })
+        .collect();
+    // Every late record fires once, as its own count-1 result.
+    let late: Vec<(u64, u64, u64)> = late_keys.map(|k| (0, k, 1)).collect();
+    let mut expected: Vec<(u64, u64, u64)> = (0..20).map(|w| (w, 1, 1)).collect();
+    expected.extend(&late);
+    let mut sorted = fired.clone();
+    sorted.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(sorted, expected);
+    // Each fires in the step that ingests it: after window 4, in arrival
+    // order, and before window 5 closes.
+    let pos = |r: (u64, u64, u64)| fired.iter().position(|&x| x == r).unwrap();
+    let late_pos: Vec<usize> = late.iter().map(|&r| pos(r)).collect();
+    assert!(late_pos.windows(2).all(|p| p[0] < p[1]), "late results out of arrival order");
+    assert!(pos((4, 1, 1)) < late_pos[0]);
+    assert!(late_pos[late_pos.len() - 1] < pos((5, 1, 1)));
+}
