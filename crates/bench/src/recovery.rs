@@ -101,7 +101,6 @@ fn chaos_run(
             ckpt_max_chunk: 16 * 1024,
             ckpt_copies: shape.ckpt_copies,
         },
-        pre_split: Vec::new(),
     };
     SlashCluster::run_chaos(w.plan, w.partitions, cfg, &chaos, Obs::disabled())
 }

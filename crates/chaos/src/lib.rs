@@ -18,8 +18,8 @@
 //! simulator (via the `slash-rdma` fault hooks) and emits `Cat::Fault`
 //! trace events so a Perfetto trace shows each outage window. Process-level
 //! consequences (stopping a crashed node's workers, running recovery) are
-//! the embedding engine's job — see `SlashCluster::run_chaos` in
-//! `slash-core`.
+//! the embedding engine's job — see the recovery service in
+//! `slash-core` (`SlashCluster::run_chaos`).
 
 pub mod inject;
 pub mod plan;
@@ -63,11 +63,6 @@ pub struct ChaosConfig {
     pub plan: FaultPlan,
     /// Recovery tunables.
     pub ft: FtConfig,
-    /// Group keys to hot-split before the first record (state-plane
-    /// splitting only — chaos runs never forward records). The race
-    /// families use this to prove split/fold commutes with crash
-    /// promotion and planned handoff.
-    pub pre_split: Vec<u64>,
 }
 
 impl ChaosConfig {
@@ -76,7 +71,6 @@ impl ChaosConfig {
         ChaosConfig {
             plan,
             ft: FtConfig::default(),
-            pre_split: Vec::new(),
         }
     }
 }

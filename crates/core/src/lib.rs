@@ -34,7 +34,9 @@ pub mod window;
 pub mod worker;
 
 pub use agg::AggSpec;
-pub use cluster::{spawn_node_workers, RunConfig, RunReport, SlashCluster};
+pub use cluster::{
+    spawn_node_workers, ClusterOutcome, ClusterRun, RunConfig, RunReport, SlashCluster,
+};
 pub use cost::{CacheModel, CostModel, TESTBED_CLOCK_GHZ};
 pub use elastic::{
     ClusterTelemetry, ElasticConfig, MigrationCmd, MigrationEvent, RescaleReport, ScaleDirector,

@@ -1,75 +1,58 @@
 //! Fault-tolerant execution: checkpointing, failure detection, and
-//! epoch-aligned recovery.
+//! epoch-aligned recovery — the recovery service of the one cluster
+//! driver, attached by [`crate::ClusterRun::recovery`] (or
+//! [`crate::SlashCluster::run_chaos`]). It arms a deterministic
+//! [`slash_chaos::FaultPlan`] against the simulated fabric and layers a
+//! recovery protocol on the epoch coherence machinery:
 //!
-//! The fault-free engine ([`SlashCluster::run`]) assumes a perfect
-//! fabric. [`SlashCluster::run_chaos`] drops that assumption: it arms a
-//! deterministic [`slash_chaos::FaultPlan`] against the simulated fabric and layers a
-//! recovery protocol on top of the epoch coherence machinery:
-//!
-//! * **Checkpoints.** At every epoch close a node captures its primary
-//!   partition snapshot, vector clock, per-channel commit horizons, the
-//!   retained (replayable) epochs it has shipped, per-worker source
-//!   positions and the sink — everything needed to resurrect the node at
-//!   that epoch boundary. The checkpoint is shipped to a buddy node over
-//!   the same fabric (paying transfer time) and only counts as *durable*
-//!   once it lands.
+//! * **Checkpoints.** At every epoch close a node captures everything
+//!   needed to resurrect it at that boundary: primary snapshot, vector
+//!   clock, per-channel commit horizons, retained (replayable) shipped
+//!   epochs, per-worker source positions and the sink. It ships to buddy
+//!   ports over the fabric and counts as *durable* once it lands.
 //! * **Durability gate.** A leader merges epoch `e` from helper `h` only
-//!   once `h`'s durable checkpoint covers `e`
-//!   ([`slash_state::DeltaReceiver`]'s `durable_epochs` gate). Everything
-//!   merged anywhere is therefore replayable verbatim from stable
-//!   storage, which is what makes recovery *exact* rather than
-//!   best-effort: replayed epochs are deduplicated by epoch id, so even
-//!   non-idempotent CRDT merges (counters add!) are applied exactly once.
-//! * **Detection.** The driver watches, per node, the progress token its
-//!   peers have observed (the remote vector-clock entries). A token that
-//!   stalls past `detect_timeout` triggers a diagnosis: dead node →
-//!   promotion; link restored after a flap → channel reset + replay;
-//!   merely degraded → wait, the run completes on its own.
-//! * **Copy placement.** Each checkpoint is shipped to up to
-//!   [`slash_chaos::FtConfig::ckpt_copies`] distinct buddy ports (placement
-//!   diversity), and a copy is usable only while its holder port answers.
-//!   Losing a holder drops the copy, which triggers buddy re-selection and
-//!   re-shipping; losing *every* real copy falls back to the epoch-0 seed
-//!   copy (reprocess from scratch), which is durable by fiat.
-//! * **Promotion.** A crashed node's partition is resurrected on a buddy
-//!   host from the newest valid durable copy. Promotion is a *re-entrant
-//!   state machine*, not an instantaneous act: a `Restore` phase (copy
-//!   chunks stream to the host, integrity-checked against the checkpoint
-//!   digest) and a `Reconnect` phase (replacement channels handshake to
-//!   ready) run over virtual time and mutate nothing but the promotion
-//!   record, so a further fault killing the chosen host or the copy holder
-//!   mid-flight simply restarts the machine against re-selected ones. All
-//!   cluster-visible effects — snapshot restore, vector-clock restore,
-//!   fragment fast-forward, channel replacement with commit-horizon
-//!   handshakes, retained-epoch replay, respawn of *every* worker at its
-//!   checkpointed source position — commit atomically at one virtual
-//!   instant. A fault after commit is a fresh failure handled by a new
-//!   detect → promote cycle. Concurrent promotions (distinct victims) run
-//!   independently; a committing node installs retaining endpoints even
-//!   toward still-dead peers so their own later promotions find a complete
-//!   replay history.
+//!   once `h`'s durable checkpoint covers `e`. Everything merged is thus
+//!   replayable verbatim, and replayed epochs dedup by epoch id, so even
+//!   non-idempotent CRDT merges apply exactly once: recovery is *exact*.
+//! * **Detection.** A node's progress token (the most advanced view its
+//!   peers hold of its vector-clock entry) stalled past `detect_timeout`
+//!   triggers a diagnosis: dead port → promotion; link back after a flap
+//!   → channel reset + replay; merely degraded → wait.
+//! * **Copy placement.** Up to [`slash_chaos::FtConfig::ckpt_copies`]
+//!   copies on distinct buddy ports, each usable only while its holder
+//!   answers; losing a holder triggers re-selection and re-shipping, and
+//!   losing every real copy falls back to the epoch-0 seed copy
+//!   (reprocess from scratch), durable by fiat.
+//! * **Promotion.** A *re-entrant state machine*: `Restore` (copy chunks
+//!   stream to the new host, checked against the capture digest) and
+//!   `Reconnect` (replacement channels handshake) mutate nothing but the
+//!   machine's record, so a fault killing the chosen host or copy holder
+//!   mid-flight just restarts it. All cluster-visible effects — restore,
+//!   channel replacement with commit-horizon handshakes, retained-epoch
+//!   replay, respawn of *every* worker at its checkpointed position —
+//!   commit atomically at one virtual instant. Concurrent promotions run
+//!   independently; a committing node installs retaining endpoints toward
+//!   still-dead peers so their later promotions find a complete replay
+//!   history.
 //!
-//! Exactness is validated by comparing window results and state digests
-//! against a same-seed fault-free run (`tests/chaos.rs`,
-//! `examples/failover.rs`, and `repro -- recovery`); the full protocol
-//! specification, including the fault × phase outcome matrix, is
-//! `DESIGN.md` §15.
+//! Exactness is validated against same-seed fault-free runs
+//! (`tests/chaos.rs`, `examples/failover.rs`, `repro -- recovery`); the
+//! protocol specification, with the fault × phase outcome matrix, is
+//! `DESIGN.md` §15, and the driver's service order §22.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use slash_chaos::{ChaosConfig, FaultKind};
-use slash_chaos::Injector;
-use slash_desim::{Sim, SimTime};
+use slash_chaos::{ChaosConfig, Injector};
+use slash_desim::SimTime;
 use slash_net::{create_channel, RECONNECT_HANDSHAKE_MSGS};
 use slash_obs::{Cat, Obs};
 use slash_rdma::{Fabric, NodeId};
-use slash_state::backend::{build_cluster_obs, SsbConfig, SsbNode};
+use slash_state::backend::SsbNode;
 use slash_state::{chunks_digest, DeltaReceiver, DeltaSender, RetainedEpoch};
 
-use crate::cluster::{assemble_report, spawn_node_workers, RunConfig, RunReport, SlashCluster};
-use crate::query::QueryPlan;
+use crate::cluster::{Cluster, RunConfig};
 use crate::sink::{Sink, SinkResult};
 use crate::worker::NodeShared;
 
@@ -130,12 +113,6 @@ pub(crate) struct DurableCopy {
     ckpt: Rc<Checkpoint>,
 }
 
-impl DurableCopy {
-    fn valid(&self, fabric: &Fabric) -> bool {
-        self.holder_port.is_none_or(|p| fabric.node_alive(p))
-    }
-}
-
 /// A checkpoint transfer on the wire toward a buddy port.
 struct InFlight {
     arrival: SimTime,
@@ -162,7 +139,7 @@ pub(crate) struct CkptSlot {
 impl CkptSlot {
     /// Drop copies whose holder port has died (the seed copy never does).
     fn gc(&mut self, fabric: &Fabric) {
-        self.copies.retain(|c| c.valid(fabric));
+        self.copies.retain(|c| c.holder_port.is_none_or(|p| fabric.node_alive(p)));
     }
 
     /// Newest usable copy — the restore candidate (call [`Self::gc`]
@@ -188,11 +165,6 @@ impl CkptSlot {
             .map(|c| c.ckpt.receiver_next.get(l).copied().unwrap_or(0))
             .min()
             .unwrap_or(0)
-    }
-
-    /// The newest captured boundary (not necessarily durable yet).
-    pub(crate) fn latest_ckpt(&self) -> Option<Rc<Checkpoint>> {
-        self.latest.clone()
     }
 
     /// Record a planned-handoff cutover at `boundary`: the next real
@@ -291,7 +263,7 @@ pub(crate) fn select_ship_buddy(
 /// restarts the machine against a re-selected host and copy; cluster
 /// state changes only at the atomic commit that follows `Reconnect`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PromoPhase {
+enum PromoPhase {
     /// Checkpoint chunks stream from the copy holder to the new host.
     Restore,
     /// Replacement channels to every survivor handshake to ready-to-send.
@@ -300,20 +272,18 @@ pub(crate) enum PromoPhase {
 
 /// A promotion in flight: dead logical node `node` is being resurrected
 /// on `host`'s port from the durable copy on `copy_port`.
-pub(crate) struct Promotion {
-    pub(crate) node: usize,
-    pub(crate) detected_at: SimTime,
-    pub(crate) phase: PromoPhase,
-    pub(crate) phase_done_at: SimTime,
-    pub(crate) host: usize,
-    pub(crate) host_port: NodeId,
-    pub(crate) copy_port: Option<NodeId>,
-    pub(crate) ckpt: Rc<Checkpoint>,
-    pub(crate) restarts: u32,
+struct Promotion {
+    detected_at: SimTime,
+    phase: PromoPhase,
+    phase_done_at: SimTime,
+    host: usize,
+    copy_port: Option<NodeId>,
+    ckpt: Rc<Checkpoint>,
+    restarts: u32,
 }
 
 /// Fault-tolerance hooks handed to each node's shared state; present
-/// only in [`SlashCluster::run_chaos`] runs.
+/// only in runs with the recovery service attached.
 pub(crate) struct FtState {
     pub(crate) store: Rc<RefCell<CkptStore>>,
     pub(crate) node: usize,
@@ -391,7 +361,7 @@ impl RecoveryEvent {
     }
 }
 
-/// Recovery-side outcome of a chaos run, alongside the [`RunReport`].
+/// Recovery-side outcome of a run, alongside the [`crate::RunReport`].
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// Detected faults and their repairs, in detection order.
@@ -452,402 +422,154 @@ pub fn results_digest(results: &[SinkResult]) -> u64 {
 /// the victim's pid too, under this tid).
 pub(crate) const RECOVERY_TID: u32 = 901;
 
-impl SlashCluster {
-    /// Run `plan` under a deterministic fault plan with fault tolerance
-    /// enabled: epoch-boundary checkpoints shipped to a buddy node,
-    /// durability-gated delta commits, stall detection, and epoch-aligned
-    /// recovery (leader promotion or channel reset + replay).
-    ///
-    /// Returns the usual [`RunReport`] plus a [`RecoveryReport`]. With an
-    /// empty plan this is the fault-tolerant no-fault baseline: same
-    /// checkpoint and gating overheads, no faults — the reference for
-    /// exactness comparisons. When `cfg.collect_results` is set, results
-    /// are deduplicated by `(window, key)` in deterministic order.
-    pub fn run_chaos(
-        plan: QueryPlan,
-        partitions: Vec<Rc<Vec<u8>>>,
-        cfg: RunConfig,
-        chaos: &ChaosConfig,
-        obs: Obs,
-    ) -> (RunReport, RecoveryReport) {
-        let n = cfg.nodes;
-        assert_eq!(
-            partitions.len(),
-            n * cfg.workers_per_node,
-            "need one partition per worker"
-        );
-        let mut sim = Sim::new();
-        let fabric = Fabric::new(cfg.fabric);
-        let node_ids = fabric.add_nodes(n);
-        let ssb_cfg = SsbConfig {
-            nodes: n,
-            epoch_bytes: cfg.epoch_bytes,
-            channel: cfg.channel,
-        };
-        let desc = plan.descriptor();
-        let ssb_nodes = build_cluster_obs(&fabric, &node_ids, desc, ssb_cfg, obs.clone());
+/// The recovery service: checkpoint lifecycle, promotion machines and
+/// stall detection. Attached to a run by
+/// [`ClusterRun::recovery`](crate::ClusterRun::recovery).
+pub(crate) struct Recovery<'a> {
+    chaos: &'a ChaosConfig,
+    store: Rc<RefCell<CkptStore>>,
+    /// In-flight promotions, keyed by dead logical node.
+    promos: BTreeMap<usize, Promotion>,
+    /// Per node: the progress token its peers last held, and when it
+    /// last changed (the stall timer).
+    last_token: Vec<u64>,
+    last_change: Vec<SimTime>,
+    rec: RecoveryReport,
+}
 
-        let store: Rc<RefCell<CkptStore>> =
-            Rc::new(RefCell::new((0..n).map(|_| CkptSlot::default()).collect()));
-        let plan = Rc::new(plan);
-        let schema = plan.input().schema;
-
-        // Shareds sit behind one more cell so crash closures and the
-        // detector see promotions (the slot is *replaced* on promotion).
-        let shareds: Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>> =
-            Rc::new(RefCell::new(Vec::with_capacity(n)));
-        for (node, ssb) in ssb_nodes.into_iter().enumerate() {
-            let shared = Rc::new(RefCell::new(NodeShared::new(
-                ssb,
-                cfg.workers_per_node,
-                cfg.cost.mem_bandwidth,
-                cfg.collect_results,
-            )));
-            {
-                let mut sh = shared.borrow_mut();
-                sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-                if obs.is_enabled() {
-                    sh.instrument(obs.clone(), node);
-                }
-                sh.ssb.set_retention(true);
-                // Gate commits on durability: nothing from helper `h`
-                // merges until `h`'s checkpoint covering it has landed on
-                // the buddy.
-                for h in 0..n {
-                    if h != node {
-                        sh.ssb.set_durable_epochs(h, 0);
-                    }
-                }
-                sh.ft = Some(FtState {
-                    store: Rc::clone(&store),
-                    node,
-                    max_chunk: chaos.ft.ckpt_max_chunk,
-                });
-                if !chaos.pre_split.is_empty() {
-                    sh.ssb.split_enable();
-                    for &gk in &chaos.pre_split {
-                        sh.ssb.split_activate(gk);
-                    }
-                }
-                // Seed checkpoint: an empty epoch-0 boundary, durable by
-                // fiat, so even a crash before the first real checkpoint
-                // recovers (to a from-scratch reprocess).
-                on_epoch_closed(&mut sh);
-            }
-            spawn_node_workers(
-                &mut sim, node, &shared, &partitions, schema, &plan, &cfg, None,
-            );
-            shareds.borrow_mut().push(shared);
+impl<'a> Recovery<'a> {
+    pub(crate) fn new(chaos: &'a ChaosConfig, n: usize) -> Self {
+        Recovery {
+            chaos,
+            store: Rc::new(RefCell::new((0..n).map(|_| CkptSlot::default()).collect())),
+            promos: BTreeMap::new(),
+            last_token: vec![0; n],
+            last_change: vec![SimTime::ZERO; n],
+            rec: RecoveryReport::default(),
         }
-        store.borrow_mut().iter_mut().for_each(CkptSlot::seed_from_latest);
-
-        // Arm the fault plan against the fabric, and mirror node crashes
-        // into the engine: the victim's workers observe the flag at their
-        // next step and die with the node.
-        Injector::arm(&mut sim, &fabric, &node_ids, &obs, &chaos.plan);
-        for ev in chaos.plan.events() {
-            if let FaultKind::NodeCrash { node } = ev.kind {
-                if node < n {
-                    let sh_vec = Rc::clone(&shareds);
-                    sim.schedule_at(ev.at, move |_| {
-                        sh_vec.borrow()[node].borrow_mut().crashed = true;
-                    });
-                }
-            }
-        }
-
-        // host[i] = logical node whose fabric port hosts partition i's
-        // current leader (identity until a promotion relocates one).
-        let mut host: Vec<usize> = (0..n).collect();
-        let mut last_token = vec![0u64; n];
-        let mut last_change = vec![SimTime::ZERO; n];
-        let mut promos: BTreeMap<usize, Promotion> = BTreeMap::new();
-        let mut rec = RecoveryReport::default();
-
-        // Drive in slices of a quarter detection timeout so stalls are
-        // noticed promptly without rescanning the cluster too often.
-        let slice =
-            SimTime::from_nanos((chaos.ft.detect_timeout.as_nanos() / 4).max(100_000));
-        loop {
-            if shareds.borrow().iter().all(|s| s.borrow().finished) {
-                break;
-            }
-            assert!(
-                sim.now() <= cfg.max_virtual_time,
-                "query did not complete within the virtual-time budget \
-                 (possible protocol livelock)"
-            );
-            // An empty event queue is not a deadlock while recovery work
-            // is outstanding driver-side: `run_until` still advances
-            // virtual time, which is all an in-flight promotion (or a
-            // dead partition awaiting detection) needs to make progress —
-            // e.g. every surviving worker already finished and the cluster
-            // is only waiting out a restore transfer.
-            let recovery_outstanding = !promos.is_empty()
-                || (0..n).any(|l| !fabric.node_alive(node_ids[host[l]]));
-            assert!(
-                sim.pending_events() > 0 || recovery_outstanding,
-                "simulation quiesced before the query completed (deadlock)"
-            );
-            let horizon = sim.now() + slice;
-            sim.run_until(horizon);
-            let now = sim.now();
-
-            // A dead port kills every partition it currently hosts —
-            // including partitions promoted onto it by an earlier recovery
-            // (cascading failure). Direct victims are flagged at the fault
-            // instant by the armed plan; this sweep catches re-homed ones.
-            {
-                let sh_vec = shareds.borrow();
-                for l in 0..n {
-                    if !fabric.node_alive(node_ids[host[l]]) {
-                        sh_vec[l].borrow_mut().crashed = true;
-                    }
-                }
-            }
-
-            // A finished node's port keeps serving state traffic: a
-            // promotion can commit after a survivor's workers already
-            // completed, and the replay epochs requeued on that survivor
-            // still have to reach the restored partition. The SSB is a
-            // node service, not a query task — the driver pumps it once
-            // the workers are gone.
-            {
-                let sh_vec = shareds.borrow();
-                for l in 0..n {
-                    if fabric.node_alive(node_ids[host[l]]) {
-                        let mut sh = sh_vec[l].borrow_mut();
-                        if sh.finished {
-                            let _ = sh.ssb.pump(&mut sim);
-                        }
-                    }
-                }
-            }
-
-            ft_tick(
-                now, n, &fabric, &node_ids, &host, &store, &shareds, &cfg, chaos, &obs,
-                &mut rec,
-            );
-
-            for d in promo_tick(
-                now, &mut promos, &mut sim, &fabric, &node_ids, &mut host, &shareds, &store,
-                &partitions, &plan, schema, &cfg, chaos, &obs, &mut rec,
-            ) {
-                // Fresh off a commit the restored node's token is still
-                // stale; re-arm its stall timer so it gets a full timeout
-                // to publish progress before being re-diagnosed.
-                last_change[d] = sim.now();
-            }
-
-            if n < 2 {
-                continue; // nothing to detect against
-            }
-            // Stall detection: per node, the most advanced view any peer
-            // holds of its progress. Crashes and outages freeze it.
-            for i in 0..n {
-                if promos.contains_key(&i) {
-                    continue; // the promotion machine owns this node
-                }
-                let token = {
-                    let sh_vec = shareds.borrow();
-                    (0..n)
-                        .filter(|&j| j != i)
-                        .map(|j| sh_vec[j].borrow().ssb.vclock().get(i))
-                        .max()
-                        .unwrap_or(0)
-                };
-                if token != last_token[i] {
-                    last_token[i] = token;
-                    last_change[i] = now;
-                    continue;
-                }
-                if now - last_change[i] < chaos.ft.detect_timeout {
-                    continue;
-                }
-                last_change[i] = now; // re-arm the timer either way
-                let fab_i = node_ids[host[i]];
-                if !fabric.node_alive(fab_i) {
-                    // Dead port: start the promotion state machine. It
-                    // advances (and may restart) on subsequent ticks and
-                    // commits atomically once Reconnect completes. `None`
-                    // means every peer is dead — retry after another
-                    // timeout; the livelock guard bounds a hopeless wait.
-                    if let Some(p) = promo_begin(
-                        i, now, now, 0, n, &fabric, &node_ids, &store, &cfg,
-                    ) {
-                        obs.instant(
-                            Cat::Fault,
-                            "promotion-begin",
-                            i as u32,
-                            RECOVERY_TID,
-                            now,
-                            &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed)],
-                        );
-                        promos.insert(i, p);
-                    }
-                } else if fabric.link_up(fab_i) {
-                    // Alive with a live link: if the outage errored any
-                    // channel endpoints, re-establish and replay; if the
-                    // node is merely slow (degraded link, lagging
-                    // completions), there is nothing to repair.
-                    let fixed = reset_errored_channels(i, n, &shareds, &fabric, &node_ids, &host);
-                    if fixed > 0 {
-                        push_event(
-                            &mut rec,
-                            chaos,
-                            i,
-                            now,
-                            sim.now(),
-                            RecoveryAction::ChannelsReset { channels: fixed },
-                            &obs,
-                        );
-                    }
-                }
-                // else: link still down — wait for it to come back.
-            }
-        }
-        let completion_time = sim.now();
-
-        let shareds_v = shareds.borrow();
-        let mut report = assemble_report(&shareds_v, &fabric, &obs, completion_time);
-        if cfg.collect_results {
-            // Deduplicate by (window, key) in deterministic order: a
-            // window triggered right around a checkpoint boundary may be
-            // re-fired by the resurrected leader.
-            let mut dedup: BTreeMap<(u64, u64), SinkResult> = BTreeMap::new();
-            for r in report.results.drain(..) {
-                let k = match r {
-                    SinkResult::Agg { window_id, key, .. }
-                    | SinkResult::Join { window_id, key, .. } => (window_id, key),
-                };
-                dedup.entry(k).or_insert(r);
-            }
-            report.results = dedup.into_values().collect();
-            report.emitted = report.results.len() as u64;
-            report.total_pairs = report
-                .results
-                .iter()
-                .map(|r| match r {
-                    SinkResult::Join { pairs, .. } => *pairs,
-                    SinkResult::Agg { .. } => 0,
-                })
-                .sum();
-        }
-        rec.results_digest = results_digest(&report.results);
-        rec.state_digests = shareds_v
-            .iter()
-            .map(|s| s.borrow().ssb.state_digest())
-            .collect();
-        (report, rec)
     }
-}
 
-/// Record a repair, both in the report and as a Perfetto span covering
-/// the detected→repaired window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn push_event(
-    rec: &mut RecoveryReport,
-    chaos: &ChaosConfig,
-    node: usize,
-    detected_at: SimTime,
-    recovered_at: SimTime,
-    action: RecoveryAction,
-    obs: &Obs,
-) {
-    let (injected_at, fault) = chaos
-        .plan
-        .events()
-        .iter()
-        .filter(|e| e.kind.node() == node && e.at <= detected_at)
-        .map(|e| (e.at, e.kind.name()))
-        .next_back()
-        .unwrap_or((SimTime::ZERO, "stall"));
-    obs.span(
-        Cat::Fault,
-        "recovery",
-        node as u32,
-        RECOVERY_TID,
-        detected_at,
-        recovered_at.max(detected_at + SimTime::from_nanos(1)),
-        &[("injected_ns", injected_at.as_nanos())],
-    );
-    rec.events.push(RecoveryEvent {
-        fault,
-        node,
-        injected_at,
-        detected_at,
-        recovered_at,
-        action,
-    });
-}
+    /// Driver slice: a quarter detection timeout, so stalls are noticed
+    /// promptly without rescanning the cluster too often.
+    pub(crate) fn slice(&self) -> SimTime {
+        SimTime::from_nanos((self.chaos.ft.detect_timeout.as_nanos() / 4).max(100_000))
+    }
 
-/// Checkpoint lifecycle: GC copies whose holder port died, complete
-/// in-flight transfers (durability-gate and prune propagation), and ship
-/// the newest boundary toward its next copy holder. Buddy re-selection is
-/// implicit: whenever the current copy set lost a holder or lags the
-/// newest boundary, a fresh buddy is picked (preferring ports without a
-/// current copy) and the checkpoint is re-shipped.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ft_tick(
-    now: SimTime,
-    n: usize,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &[usize],
-    store: &Rc<RefCell<CkptStore>>,
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    cfg: &RunConfig,
-    chaos: &ChaosConfig,
-    obs: &Obs,
-    rec: &mut RecoveryReport,
-) {
-    let sh_vec = shareds.borrow();
-    let mut st = store.borrow_mut();
-    for i in 0..n {
-        let fab_i = node_ids[host[i]];
-        st[i].gc(fabric);
-        // Complete an in-flight transfer whose arrival time has passed.
-        if let Some(fl) = st[i]
-            .in_flight
-            .take_if(|fl| now >= fl.arrival)
-        {
-            let landed = fabric.node_alive(fab_i) && fabric.path_up(fab_i, fl.buddy_port);
-            if landed {
-                st[i].insert_copy(
-                    DurableCopy {
-                        holder_port: Some(fl.buddy_port),
-                        ckpt: Rc::clone(&fl.ckpt),
-                    },
-                    chaos.ft.ckpt_copies.max(1),
-                );
-                rec.checkpoints_durable += 1;
-                obs.instant(
-                    Cat::Fault,
-                    "checkpoint-durable",
-                    i as u32,
-                    RECOVERY_TID,
-                    now,
-                    &[
-                        ("epochs", fl.ckpt.epochs_closed),
-                        ("holder", fl.buddy_port.0 as u64),
-                    ],
-                );
-                if st[i].maybe_release_seed() {
-                    // Post-handoff retention fix (§15.3): the new owner's
-                    // checkpoint is durable, the from-scratch floor goes.
+    /// Per-node setup: retain shipped epochs for replay, gate commits on
+    /// durability, hook checkpoint capture, and capture the seed
+    /// checkpoint — an empty epoch-0 boundary, durable by fiat, so even a
+    /// crash before the first real checkpoint recovers (from scratch).
+    pub(crate) fn attach(&self, sh: &mut NodeShared, node: usize) {
+        sh.ssb.set_retention(true);
+        for h in (0..self.last_token.len()).filter(|&h| h != node) {
+            sh.ssb.set_durable_epochs(h, 0);
+        }
+        sh.ft = Some(FtState {
+            store: Rc::clone(&self.store),
+            node,
+            max_chunk: self.chaos.ft.ckpt_max_chunk,
+        });
+        on_epoch_closed(sh);
+    }
+
+    /// Once every node is set up: install the seed copies and arm the
+    /// fault plan. Crash flags come from the dead-port sweep in
+    /// [`Self::tick`]: `host[]` changes, so victims resolve at sweep time.
+    pub(crate) fn arm(&self, cl: &mut Cluster) {
+        self.store.borrow_mut().iter_mut().for_each(CkptSlot::seed_from_latest);
+        Injector::arm(&mut cl.sim, &cl.fabric, &cl.node_ids, &cl.obs, &self.chaos.plan);
+    }
+
+    /// Whether a promotion machine owns partition `p`.
+    pub(crate) fn owns(&self, p: usize) -> bool {
+        self.promos.contains_key(&p)
+    }
+
+    /// Whether repair work is pending (a promotion, or a dead partition).
+    pub(crate) fn outstanding(&self, cl: &Cluster) -> bool {
+        !self.promos.is_empty() || (0..cl.host.len()).any(|l| !cl.alive(l))
+    }
+
+    /// Newest captured (not necessarily durable) checkpoint of `p`.
+    pub(crate) fn latest_ckpt(&self, p: usize) -> Option<Rc<Checkpoint>> {
+        self.store.borrow()[p].latest.clone()
+    }
+
+    /// The post-slice tick: dead-port sweep, pump finished nodes,
+    /// checkpoint lifecycle, promotion machines. Returns the nodes whose
+    /// promotion committed.
+    pub(crate) fn tick(&mut self, cl: &mut Cluster) -> Vec<usize> {
+        for (l, sh) in cl.shareds.borrow().iter().enumerate() {
+            let mut sh = sh.borrow_mut();
+            if !cl.alive(l) {
+                // A dead port kills every partition it hosts, re-homed
+                // ones included (cascading failure).
+                sh.crashed = true;
+            } else if sh.finished {
+                // The SSB is a node service, not a query task: replay
+                // epochs requeued on a finished survivor must still reach
+                // a partition restored after it completed.
+                let _ = sh.ssb.pump(&mut cl.sim);
+            }
+        }
+        self.ft_tick(cl);
+        let committed = self.promo_tick(cl);
+        for &d in &committed {
+            // Fresh off a commit the restored node's token is still
+            // stale: a full timeout to publish progress before re-diagnosis.
+            self.last_change[d] = cl.sim.now();
+        }
+        committed
+    }
+
+    /// Checkpoint lifecycle: GC copies whose holder died, land in-flight
+    /// transfers (propagating the durability gate and prune floor), and
+    /// ship the newest boundary to a fresh buddy whenever the current
+    /// copy set lost a holder or lags it.
+    fn ft_tick(&mut self, cl: &Cluster) {
+        let (now, n, fabric, obs) = (cl.sim.now(), cl.host.len(), &cl.fabric, &cl.obs);
+        let copies = self.chaos.ft.ckpt_copies.max(1);
+        let sh_vec = cl.shareds.borrow();
+        let mut st = self.store.borrow_mut();
+        for i in 0..n {
+            let fab_i = cl.port(i);
+            st[i].gc(fabric);
+            // Complete an in-flight transfer whose arrival time has passed.
+            if let Some(fl) = st[i].in_flight.take_if(|fl| now >= fl.arrival) {
+                if fabric.node_alive(fab_i) && fabric.path_up(fab_i, fl.buddy_port) {
+                    st[i].insert_copy(
+                        DurableCopy {
+                            holder_port: Some(fl.buddy_port),
+                            ckpt: Rc::clone(&fl.ckpt),
+                        },
+                        copies,
+                    );
+                    self.rec.checkpoints_durable += 1;
                     obs.instant(
                         Cat::Fault,
-                        "seed-released",
+                        "checkpoint-durable",
                         i as u32,
                         RECOVERY_TID,
                         now,
-                        &[("epochs", fl.ckpt.epochs_closed)],
+                        &[
+                            ("epochs", fl.ckpt.epochs_closed),
+                            ("holder", fl.buddy_port.0 as u64),
+                        ],
                     );
-                }
-                let horizon = st[i].durable_horizon();
-                for l in 0..n {
-                    if l != i {
-                        let mut sl = sh_vec[l].borrow_mut();
+                    if st[i].maybe_release_seed() {
+                        // Post-handoff retention fix (§15.3).
+                        obs.instant(
+                            Cat::Fault,
+                            "seed-released",
+                            i as u32,
+                            RECOVERY_TID,
+                            now,
+                            &[("epochs", fl.ckpt.epochs_closed)],
+                        );
+                    }
+                    let horizon = st[i].durable_horizon();
+                    for (l, sh) in sh_vec.iter().enumerate().filter(|&(l, _)| l != i) {
+                        let mut sl = sh.borrow_mut();
                         // Leaders may now commit i's epochs below the
                         // durable horizon...
                         sl.ssb.set_durable_epochs(i, horizon);
@@ -856,63 +578,396 @@ pub(crate) fn ft_tick(
                         sl.ssb.prune_retained(i, st[i].prune_floor(l));
                     }
                 }
+                // A transfer interrupted by a fault is simply dropped; the
+                // re-ship below retries once the path heals.
             }
-            // A transfer interrupted by a fault is simply dropped; the
-            // re-ship below retries once the path heals.
-        }
-        // Ship the newest boundary until `ckpt_copies` distinct holders
-        // carry it.
-        if st[i].in_flight.is_none() {
-            if let Some(latest) = st[i].latest.clone() {
-                let current_ports: Vec<NodeId> = st[i]
-                    .copies
-                    .iter()
-                    .filter(|c| c.ckpt.epochs_closed >= latest.epochs_closed)
-                    .filter_map(|c| c.holder_port)
-                    .collect();
-                let wants_copy = latest.epochs_closed > 0
-                    && current_ports.len() < chaos.ft.ckpt_copies.max(1);
-                if wants_copy && fabric.node_alive(fab_i) && fabric.link_up(fab_i) {
-                    let buddy = select_ship_buddy(
-                        i,
-                        n,
-                        |j| fabric.node_alive(node_ids[host[j]]),
-                        |j| current_ports.contains(&node_ids[host[j]]),
-                    );
-                    if let Some(b) = buddy {
-                        let nic = &cfg.fabric.nic;
-                        let bytes = latest.payload_bytes();
-                        let xfer = nic.latency
-                            + SimTime::from_nanos(
-                                bytes.saturating_mul(1_000_000_000) / nic.bandwidth.max(1),
-                            );
-                        st[i].in_flight = Some(InFlight {
-                            arrival: now + xfer,
-                            buddy_port: node_ids[host[b]],
-                            ckpt: latest,
-                        });
-                    }
+            // Ship the newest boundary until `ckpt_copies` distinct
+            // holders carry it.
+            if st[i].in_flight.is_some() {
+                continue;
+            }
+            let Some(latest) = st[i].latest.clone() else { continue };
+            let current_ports: Vec<NodeId> = st[i]
+                .copies
+                .iter()
+                .filter(|c| c.ckpt.epochs_closed >= latest.epochs_closed)
+                .filter_map(|c| c.holder_port)
+                .collect();
+            let wants_copy = latest.epochs_closed > 0 && current_ports.len() < copies;
+            if wants_copy && fabric.node_alive(fab_i) && fabric.link_up(fab_i) {
+                let buddy = select_ship_buddy(
+                    i,
+                    n,
+                    |j| fabric.node_alive(cl.port(j)),
+                    |j| current_ports.contains(&cl.port(j)),
+                );
+                if let Some(b) = buddy {
+                    st[i].in_flight = Some(InFlight {
+                        arrival: now + transfer_time(&cl.cfg, latest.payload_bytes()),
+                        buddy_port: cl.port(b),
+                        ckpt: latest,
+                    });
                 }
             }
         }
     }
+
+    /// Start (or restart) the promotion machine for dead logical node
+    /// `d`: select the host port and the newest valid durable copy, then
+    /// enter `Restore`. Returns `None` when every peer is dead
+    /// (unrecoverable; the caller retries until the livelock guard bounds
+    /// the wait). The seed copy guarantees a copy always exists, so only
+    /// host selection can fail.
+    fn promo_begin(
+        &self,
+        cl: &Cluster,
+        d: usize,
+        detected_at: SimTime,
+        restarts: u32,
+    ) -> Option<Promotion> {
+        // Candidates are judged by their *own* port (`d` will live on
+        // `node_ids[h]`), never by where their partition now lives.
+        let h = select_promotion_host(d, cl.host.len(), |j| cl.fabric.node_alive(cl.node_ids[j]))?;
+        let mut st = self.store.borrow_mut();
+        st[d].gc(&cl.fabric);
+        let copy = st[d].newest_copy()?.clone();
+        let restore_time = match copy.holder_port {
+            // Stream the copy's chunks from its holder to the host.
+            Some(_) => transfer_time(&cl.cfg, copy.ckpt.payload_bytes()),
+            // Seed copy: the source is re-read locally, control latency
+            // only.
+            None => cl.cfg.fabric.nic.latency,
+        };
+        Some(Promotion {
+            detected_at,
+            phase: PromoPhase::Restore,
+            phase_done_at: cl.sim.now() + restore_time,
+            host: h,
+            copy_port: copy.holder_port,
+            ckpt: copy.ckpt,
+            restarts,
+        })
+    }
+
+    /// Advance every promotion one tick: restart machines whose host (or,
+    /// in `Restore`, copy holder) died, move streamed copies to
+    /// `Reconnect`, and commit completed handshakes (returned).
+    fn promo_tick(&mut self, cl: &mut Cluster) -> Vec<usize> {
+        let now = cl.sim.now();
+        let mut committed = Vec::new();
+        let nodes: Vec<usize> = self.promos.keys().copied().collect();
+        for d in nodes {
+            let Some(p) = self.promos.get_mut(&d) else { continue };
+            // The chosen host died, or the copy lost its holder
+            // mid-restore: pre-commit phases touched nothing but this
+            // record, so restart against a re-selected host and copy.
+            let host_dead = !cl.fabric.node_alive(cl.node_ids[p.host]);
+            let copy_dead = p.phase == PromoPhase::Restore
+                && p.copy_port.is_some_and(|port| !cl.fabric.node_alive(port));
+            if host_dead || copy_dead {
+                let (detected_at, restarts) = (p.detected_at, p.restarts + 1);
+                if let Some(fresh) = self.promo_begin(cl, d, detected_at, restarts) {
+                    cl.obs.instant(
+                        Cat::Fault,
+                        "promotion-restart",
+                        d as u32,
+                        RECOVERY_TID,
+                        now,
+                        &[("restarts", restarts as u64), ("host", fresh.host as u64)],
+                    );
+                    self.promos.insert(d, fresh);
+                }
+                // No candidate yet: the stale record retries every tick.
+                continue;
+            }
+            if now < p.phase_done_at {
+                continue;
+            }
+            match p.phase {
+                PromoPhase::Restore => {
+                    // Integrity gate: the streamed copy must match its
+                    // capture digest before it becomes primary state.
+                    debug_assert_eq!(
+                        chunks_digest(&p.ckpt.snapshot),
+                        p.ckpt.digest,
+                        "durable copy failed its checksum"
+                    );
+                    p.phase = PromoPhase::Reconnect;
+                    p.phase_done_at = now + reconnect_time(&cl.fabric);
+                }
+                PromoPhase::Reconnect => {
+                    let Some(p) = self.promos.remove(&d) else { continue };
+                    self.commit(cl, d, p.host, &p.ckpt, p.restarts);
+                    let action = RecoveryAction::Promoted {
+                        host: p.host,
+                        restarts: p.restarts,
+                    };
+                    self.push_event(&cl.obs, d, p.detected_at, cl.sim.now(), action);
+                    committed.push(d);
+                }
+            }
+        }
+        committed
+    }
+
+    /// Atomically commit a completed promotion (or planned handoff):
+    /// install the restored SSB of node `d` on host `h`'s port,
+    /// re-establish every channel with commit-horizon handshakes, and
+    /// respawn *all* of its workers at their checkpointed positions — the
+    /// replacement appears at one virtual instant.
+    fn commit(
+        &self,
+        cl: &mut Cluster,
+        d: usize,
+        h: usize,
+        ckpt: &Rc<Checkpoint>,
+        restarts: u32,
+    ) {
+        let n = cl.host.len();
+        {
+            // Whatever was newer than the restored boundary died with the
+            // node: in-flight transfers are void.
+            let mut st = self.store.borrow_mut();
+            st[d].gc(&cl.fabric);
+            st[d].latest = Some(Rc::clone(ckpt));
+            st[d].in_flight = None;
+        }
+        cl.host[d] = h;
+        let host_fab = cl.node_ids[h];
+
+        let mut ssb = SsbNode::detached(d, cl.plan.descriptor(), cl.cfg.ssb_config());
+        ssb.restore_primary(&ckpt.snapshot);
+        ssb.restore_vclock(&ckpt.vclock);
+        ssb.resume_fragments_at(ckpt.epochs_closed);
+        // The split ledger is replicated control state, identical on every
+        // node: the replacement adopts a survivor's copy so it keeps
+        // diverting hot-key updates like its predecessor did.
+        if let Some(ledger) = cl
+            .shareds
+            .borrow()
+            .iter()
+            .enumerate()
+            .filter(|&(s, _)| s != d)
+            .find_map(|(_, sh)| sh.borrow().ssb.split_ledger().cloned())
+        {
+            ssb.set_split_ledger(ledger);
+        }
+
+        // Re-establish channels with every peer, handshaking commit
+        // horizons so replay is exact and nothing merges twice.
+        {
+            let (fabric, channel) = (&cl.fabric, cl.cfg.channel);
+            let sh_vec = cl.shareds.borrow();
+            let st = self.store.borrow();
+            for s in (0..n).filter(|&s| s != d) {
+                let s_fab = cl.port(s);
+                // d → s: the replacement re-ships the retained epochs the
+                // peer's receiver has not committed. s → d: the peer
+                // re-ships from the checkpoint's commit horizon; its
+                // retained list still covers that suffix because pruning
+                // floors at the oldest surviving copy of d.
+                let (tx, rx) = create_channel(fabric, host_fab, s_fab, channel);
+                let (tx2, rx2) = create_channel(fabric, s_fab, host_fab, channel);
+                let mut sender = DeltaSender::new(tx);
+                sender.restore_retained(ckpt.retained[s].clone());
+                if fabric.node_alive(s_fab) {
+                    let mut sv = sh_vec[s].borrow_mut();
+                    let resume = sv.ssb.receiver_next_epoch(d);
+                    sender.requeue_from(resume);
+                    sv.ssb.replace_receiver(d, DeltaReceiver::new(rx, d));
+                    sv.ssb.seed_receiver(d, resume);
+                    sv.ssb.set_durable_epochs(d, ckpt.epochs_closed);
+                    let mut sender2 = DeltaSender::new(tx2);
+                    let retained = sv.ssb.retained_for(d).map(<[_]>::to_vec);
+                    sender2.restore_retained(retained.unwrap_or_default());
+                    sender2.requeue_from(ckpt.receiver_next[s]);
+                    sv.ssb.replace_sender(d, sender2);
+                    if cl.obs.is_enabled() {
+                        sv.ssb.instrument(cl.obs.clone());
+                    }
+                }
+                // A dead peer (concurrent crash) gets endpoints too: the
+                // sender keeps *retaining* every epoch closed from here
+                // on, so the peer's own promotion finds a complete replay
+                // history, and the seeded receiver records where that
+                // promotion must resume our replay. Both directions are
+                // replaced with live channels when the peer commits.
+                ssb.replace_sender(s, sender);
+                ssb.replace_receiver(s, DeltaReceiver::new(rx2, s));
+                ssb.seed_receiver(s, ckpt.receiver_next[s]);
+                ssb.set_durable_epochs(s, st[s].durable_horizon());
+            }
+        }
+        ssb.set_retention(true);
+
+        // Fresh shared state seeded from the checkpoint, on its new host's
+        // memory link; the old slot's workers are already stopped.
+        let mut shared = NodeShared::for_run(ssb, d, &cl.cfg, &cl.obs);
+        shared.mem = Rc::clone(&cl.host_links[h]);
+        shared.sink = ckpt.sink.clone();
+        shared.records = ckpt.records;
+        shared.worker_wm = ckpt.worker_wm.clone();
+        shared.worker_pos = ckpt.worker_pos.clone();
+        shared.ft = Some(FtState {
+            store: Rc::clone(&self.store),
+            node: d,
+            max_chunk: self.chaos.ft.ckpt_max_chunk,
+        });
+        let shared = Rc::new(RefCell::new(shared));
+        cl.shareds.borrow_mut()[d] = Rc::clone(&shared);
+
+        // Respawn every worker at its checkpointed source position: later
+        // records died with the open fragments and are reprocessed.
+        cl.spawn_workers(d, &shared, Some(&ckpt.worker_pos));
+        cl.obs.instant(
+            Cat::Fault,
+            "promoted",
+            d as u32,
+            RECOVERY_TID,
+            cl.sim.now(),
+            &[
+                ("host", h as u64),
+                ("epochs", ckpt.epochs_closed),
+                ("restarts", restarts as u64),
+            ],
+        );
+    }
+
+    /// Commit a planned handoff of `p` onto host `h` from its cutover
+    /// checkpoint: promotion without the crash. Once the new owner's own
+    /// durable checkpoint covers the cutover boundary, the eternal epoch-0
+    /// seed copy is released (§15.3 retention fix).
+    pub(crate) fn commit_handoff(
+        &mut self,
+        cl: &mut Cluster,
+        p: usize,
+        h: usize,
+        ckpt: &Rc<Checkpoint>,
+    ) {
+        self.commit(cl, p, h, ckpt, 0);
+        self.store.borrow_mut()[p].mark_handoff(ckpt.epochs_closed);
+        self.last_change[p] = cl.sim.now();
+    }
+
+    /// Stall detection (see the module docs); partitions owned by a
+    /// promotion machine, or by another service per `busy`, are skipped.
+    pub(crate) fn detect(&mut self, cl: &Cluster, busy: impl Fn(usize) -> bool) {
+        let (n, now) = (cl.host.len(), cl.sim.now());
+        if n < 2 {
+            return; // nothing to detect against
+        }
+        for i in 0..n {
+            if self.promos.contains_key(&i) || busy(i) {
+                continue;
+            }
+            let token = {
+                let sh_vec = cl.shareds.borrow();
+                (0..n)
+                    .filter(|&j| j != i)
+                    .map(|j| sh_vec[j].borrow().ssb.vclock().get(i))
+                    .max()
+                    .unwrap_or(0)
+            };
+            if token != self.last_token[i] {
+                self.last_token[i] = token;
+                self.last_change[i] = now;
+                continue;
+            }
+            if now - self.last_change[i] < self.chaos.ft.detect_timeout {
+                continue;
+            }
+            self.last_change[i] = now; // re-arm the timer either way
+            if !cl.alive(i) {
+                // Dead port: start a promotion machine. `None` means every
+                // peer is dead — retry after another timeout; the livelock
+                // guard bounds a hopeless wait.
+                if let Some(p) = self.promo_begin(cl, i, now, 0) {
+                    cl.obs.instant(
+                        Cat::Fault,
+                        "promotion-begin",
+                        i as u32,
+                        RECOVERY_TID,
+                        now,
+                        &[("host", p.host as u64), ("epochs", p.ckpt.epochs_closed)],
+                    );
+                    self.promos.insert(i, p);
+                }
+            } else if cl.fabric.link_up(cl.port(i)) {
+                // Alive with a live link: repair errored channels, if any
+                // (a merely slow node needs nothing).
+                let fixed = reset_errored_channels(cl, i);
+                if fixed > 0 {
+                    let action = RecoveryAction::ChannelsReset { channels: fixed };
+                    self.push_event(&cl.obs, i, now, now, action);
+                }
+            }
+        }
+    }
+
+    /// Record a repair, both in the report and as a Perfetto span
+    /// covering the detected→repaired window.
+    fn push_event(
+        &mut self,
+        obs: &Obs,
+        node: usize,
+        detected_at: SimTime,
+        recovered_at: SimTime,
+        action: RecoveryAction,
+    ) {
+        let (injected_at, fault) = self
+            .chaos
+            .plan
+            .events()
+            .iter()
+            .filter(|e| e.kind.node() == node && e.at <= detected_at)
+            .map(|e| (e.at, e.kind.name()))
+            .next_back()
+            .unwrap_or((SimTime::ZERO, "stall"));
+        obs.span(
+            Cat::Fault,
+            "recovery",
+            node as u32,
+            RECOVERY_TID,
+            detected_at,
+            recovered_at.max(detected_at + SimTime::from_nanos(1)),
+            &[("injected_ns", injected_at.as_nanos())],
+        );
+        self.rec.events.push(RecoveryEvent {
+            fault,
+            node,
+            injected_at,
+            detected_at,
+            recovered_at,
+            action,
+        });
+    }
+
+    /// The recovery report; the report path fills in its digests.
+    pub(crate) fn finish(self) -> RecoveryReport {
+        self.rec
+    }
+}
+
+/// NIC time to move `bytes` between two ports: one latency plus the
+/// serialization time.
+pub(crate) fn transfer_time(cfg: &RunConfig, bytes: u64) -> SimTime {
+    let nic = &cfg.fabric.nic;
+    nic.latency + SimTime::from_nanos(bytes.saturating_mul(1_000_000_000) / nic.bandwidth.max(1))
+}
+
+/// Time for replacement channels to handshake to ready-to-send.
+pub(crate) fn reconnect_time(fabric: &Fabric) -> SimTime {
+    SimTime::from_nanos(RECONNECT_HANDSHAKE_MSGS * 2 * fabric.ack_latency().as_nanos())
 }
 
 /// Re-establish every errored channel touching node `i` (both
 /// directions), then replay the epochs the receiving side never
 /// committed. Returns how many directed channels needed a reset.
-pub(crate) fn reset_errored_channels(
-    i: usize,
-    n: usize,
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &[usize],
-) -> usize {
-    let sh_vec = shareds.borrow();
+fn reset_errored_channels(cl: &Cluster, i: usize) -> usize {
+    let sh_vec = cl.shareds.borrow();
     let mut fixed = 0;
-    for s in 0..n {
-        if s == i || !fabric.node_alive(node_ids[host[s]]) {
+    for s in 0..cl.host.len() {
+        if s == i || !cl.alive(s) {
             continue;
         }
         let mut si = sh_vec[i].borrow_mut();
@@ -937,338 +992,6 @@ pub(crate) fn reset_errored_channels(
     fixed
 }
 
-/// Start (or restart) the promotion machine for dead logical node `d`:
-/// select the host port and the newest valid durable copy, then enter
-/// `Restore`. Returns `None` when every peer is dead (unrecoverable; the
-/// caller retries until the livelock guard bounds the wait). The seed
-/// copy guarantees a copy always exists, so only host selection can fail.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn promo_begin(
-    d: usize,
-    now: SimTime,
-    detected_at: SimTime,
-    restarts: u32,
-    n: usize,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    store: &Rc<RefCell<CkptStore>>,
-    cfg: &RunConfig,
-) -> Option<Promotion> {
-    // Candidates are judged by their *own* port: committing sets
-    // `host[d] = h`, so partition `d` will live on `node_ids[h]` — a
-    // logical node whose port died (and was itself re-homed elsewhere)
-    // must never be picked, even though its partition is healthy.
-    let h = select_promotion_host(d, n, |j| fabric.node_alive(node_ids[j]))?;
-    let host_port = node_ids[h];
-    let mut st = store.borrow_mut();
-    st[d].gc(fabric);
-    let copy = st[d].newest_copy()?.clone();
-    let nic = &cfg.fabric.nic;
-    let restore_time = match copy.holder_port {
-        // Stream the copy's chunks from its holder to the host.
-        Some(_) => {
-            nic.latency
-                + SimTime::from_nanos(
-                    copy.ckpt.payload_bytes().saturating_mul(1_000_000_000)
-                        / nic.bandwidth.max(1),
-                )
-        }
-        // Seed copy: the source is re-read locally, control latency only.
-        None => nic.latency,
-    };
-    Some(Promotion {
-        node: d,
-        detected_at,
-        phase: PromoPhase::Restore,
-        phase_done_at: now + restore_time,
-        host: h,
-        host_port,
-        copy_port: copy.holder_port,
-        ckpt: copy.ckpt,
-        restarts,
-    })
-}
-
-/// Advance every in-flight promotion one driver tick: restart machines
-/// whose chosen host (or, during `Restore`, copy holder) died — recovery
-/// re-entrancy — move `Restore` to `Reconnect` when the copy has fully
-/// streamed, and atomically commit machines whose handshakes completed.
-/// Returns the nodes committed this tick so the driver can re-arm their
-/// stall timers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn promo_tick(
-    now: SimTime,
-    promos: &mut BTreeMap<usize, Promotion>,
-    sim: &mut Sim,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &mut [usize],
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    store: &Rc<RefCell<CkptStore>>,
-    partitions: &[Rc<Vec<u8>>],
-    plan: &Rc<QueryPlan>,
-    schema: crate::record::RecordSchema,
-    cfg: &RunConfig,
-    chaos: &ChaosConfig,
-    obs: &Obs,
-    rec: &mut RecoveryReport,
-) -> Vec<usize> {
-    let mut committed = Vec::new();
-    let nodes: Vec<usize> = promos.keys().copied().collect();
-    for d in nodes {
-        let Some(p) = promos.get_mut(&d) else { continue };
-        // Interruption check: the chosen host died, or the copy being
-        // streamed lost its holder mid-restore. Pre-commit phases touched
-        // nothing but this record, so restart it against a re-selected
-        // host and copy. (Once Restore completes the chunks live on the
-        // host; only the host's death matters during Reconnect.)
-        let host_dead = !fabric.node_alive(p.host_port);
-        let copy_dead = p.phase == PromoPhase::Restore
-            && p.copy_port.is_some_and(|port| !fabric.node_alive(port));
-        if host_dead || copy_dead {
-            let restarts = p.restarts + 1;
-            if let Some(fresh) = promo_begin(
-                d, now, p.detected_at, restarts, cfg.nodes, fabric, node_ids, store, cfg,
-            ) {
-                obs.instant(
-                    Cat::Fault,
-                    "promotion-restart",
-                    d as u32,
-                    RECOVERY_TID,
-                    now,
-                    &[("restarts", restarts as u64), ("host", fresh.host as u64)],
-                );
-                *p = fresh;
-            }
-            // No candidate right now: leave the stale record in place;
-            // its dead host keeps this arm retrying every tick.
-            continue;
-        }
-        if now < p.phase_done_at {
-            continue;
-        }
-        match p.phase {
-            PromoPhase::Restore => {
-                // Integrity gate: the streamed copy must match the digest
-                // recorded at capture before it may become primary state.
-                debug_assert_eq!(
-                    chunks_digest(&p.ckpt.snapshot),
-                    p.ckpt.digest,
-                    "durable copy failed its checksum"
-                );
-                p.phase = PromoPhase::Reconnect;
-                p.phase_done_at = now
-                    + SimTime::from_nanos(
-                        RECONNECT_HANDSHAKE_MSGS * 2 * fabric.ack_latency().as_nanos(),
-                    );
-            }
-            PromoPhase::Reconnect => {
-                let Some(p) = promos.remove(&d) else { continue };
-                commit_promotion(
-                    &p, sim, fabric, node_ids, host, shareds, store, partitions, plan,
-                    schema, cfg, chaos, obs,
-                );
-                push_event(
-                    rec,
-                    chaos,
-                    d,
-                    p.detected_at,
-                    sim.now(),
-                    RecoveryAction::Promoted {
-                        host: p.host,
-                        restarts: p.restarts,
-                    },
-                    obs,
-                );
-                committed.push(d);
-            }
-        }
-    }
-    committed
-}
-
-/// Atomically commit a completed promotion: install the restored SSB of
-/// logical node `d` on the new host port, re-establish every channel with
-/// commit-horizon handshakes, and respawn *all* of the node's workers at
-/// their checkpointed source positions. Everything before this point ran
-/// against the promotion record only; from the cluster's view the
-/// replacement node appears at one virtual instant.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_promotion(
-    p: &Promotion,
-    sim: &mut Sim,
-    fabric: &Fabric,
-    node_ids: &[NodeId],
-    host: &mut [usize],
-    shareds: &Rc<RefCell<Vec<Rc<RefCell<NodeShared>>>>>,
-    store: &Rc<RefCell<CkptStore>>,
-    partitions: &[Rc<Vec<u8>>],
-    plan: &Rc<QueryPlan>,
-    schema: crate::record::RecordSchema,
-    cfg: &RunConfig,
-    chaos: &ChaosConfig,
-    obs: &Obs,
-) {
-    let n = cfg.nodes;
-    let d = p.node;
-    let ckpt = &p.ckpt;
-    {
-        let mut st = store.borrow_mut();
-        // Whatever was newer than the restored boundary died with the
-        // node; in-flight transfers from it are void and stale copies
-        // whose holders died are gone.
-        st[d].gc(fabric);
-        st[d].latest = Some(Rc::clone(ckpt));
-        st[d].in_flight = None;
-    }
-    host[d] = p.host;
-    let host_fab = p.host_port;
-
-    let ssb_cfg = SsbConfig {
-        nodes: n,
-        epoch_bytes: cfg.epoch_bytes,
-        channel: cfg.channel,
-    };
-    let mut ssb = SsbNode::detached(d, plan.descriptor(), ssb_cfg);
-    ssb.restore_primary(&ckpt.snapshot);
-    ssb.restore_vclock(&ckpt.vclock);
-    ssb.resume_fragments_at(ckpt.epochs_closed);
-    // The split ledger is deterministic replicated control state: every
-    // node holds an identical copy, so the replacement adopts any
-    // survivor's. (Exactness never depends on the copy — the leader-side
-    // fold merges whatever sub-key entries exist — but the replacement
-    // must keep *diverting* hot-key updates like its predecessor did.)
-    if let Some(ledger) = shareds
-        .borrow()
-        .iter()
-        .enumerate()
-        .filter(|&(s, _)| s != d)
-        .find_map(|(_, sh)| sh.borrow().ssb.split_ledger().cloned())
-    {
-        ssb.set_split_ledger(ledger);
-    }
-
-    // Re-establish channels with every peer, handshaking commit horizons
-    // so replay is exact and nothing is merged twice.
-    {
-        let sh_vec = shareds.borrow();
-        let st = store.borrow();
-        for s in 0..n {
-            if s == d {
-                continue;
-            }
-            let s_fab = node_ids[host[s]];
-            if fabric.node_alive(s_fab) {
-                let mut sv = sh_vec[s].borrow_mut();
-
-                // d → s: the replacement re-ships the retained epochs the
-                // survivor's receiver has not committed.
-                let (tx, rx) = create_channel(fabric, host_fab, s_fab, cfg.channel);
-                let mut sender = DeltaSender::new(tx);
-                sender.restore_retained(ckpt.retained[s].clone());
-                let resume = sv.ssb.receiver_next_epoch(d);
-                sender.requeue_from(resume);
-                ssb.replace_sender(s, sender);
-                sv.ssb.replace_receiver(d, DeltaReceiver::new(rx, d));
-                sv.ssb.seed_receiver(d, resume);
-                sv.ssb.set_durable_epochs(d, ckpt.epochs_closed);
-
-                // s → d: the survivor re-ships from the checkpoint's
-                // commit horizon; its retained list still covers that
-                // suffix because pruning floors at the oldest surviving
-                // copy of d.
-                let (tx2, rx2) = create_channel(fabric, s_fab, host_fab, cfg.channel);
-                let mut sender2 = DeltaSender::new(tx2);
-                sender2.restore_retained(
-                    sv.ssb
-                        .retained_for(d)
-                        .map(<[_]>::to_vec)
-                        .unwrap_or_default(),
-                );
-                sender2.requeue_from(ckpt.receiver_next[s]);
-                sv.ssb.replace_sender(d, sender2);
-                ssb.replace_receiver(s, DeltaReceiver::new(rx2, s));
-                ssb.seed_receiver(s, ckpt.receiver_next[s]);
-                ssb.set_durable_epochs(s, st[s].durable_horizon());
-
-                if obs.is_enabled() {
-                    sv.ssb.instrument(obs.clone());
-                }
-            } else {
-                // Concurrent crash: `s` is down too, its own promotion
-                // still pending. Install endpoints toward its dead port
-                // anyway: the sender keeps *retaining* every epoch closed
-                // from here on (sends error out and are dropped by the
-                // fabric), so `s`'s eventual promotion finds a complete
-                // replay history in `retained_for(s)`; the seeded
-                // receiver records the commit horizon `s`'s promotion
-                // must resume our replay from. Both directions are
-                // replaced with live channels when `s` commits.
-                let (tx, _rx) = create_channel(fabric, host_fab, s_fab, cfg.channel);
-                let mut sender = DeltaSender::new(tx);
-                sender.restore_retained(ckpt.retained[s].clone());
-                ssb.replace_sender(s, sender);
-                let (_tx2, rx2) = create_channel(fabric, s_fab, host_fab, cfg.channel);
-                ssb.replace_receiver(s, DeltaReceiver::new(rx2, s));
-                ssb.seed_receiver(s, ckpt.receiver_next[s]);
-                ssb.set_durable_epochs(s, st[s].durable_horizon());
-            }
-        }
-    }
-    ssb.set_retention(true);
-
-    // Fresh shared state seeded from the checkpoint; the crashed slot's
-    // workers are already dead (crashed flag), replace it.
-    let mut shared = NodeShared::new(
-        ssb,
-        cfg.workers_per_node,
-        cfg.cost.mem_bandwidth,
-        cfg.collect_results,
-    );
-    shared.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-    shared.sink = ckpt.sink.clone();
-    shared.records = ckpt.records;
-    shared.worker_wm = ckpt.worker_wm.clone();
-    shared.worker_pos = ckpt.worker_pos.clone();
-    shared.ft = Some(FtState {
-        store: Rc::clone(store),
-        node: d,
-        max_chunk: chaos.ft.ckpt_max_chunk,
-    });
-    if obs.is_enabled() {
-        shared.instrument(obs.clone(), d);
-    }
-    let shared = Rc::new(RefCell::new(shared));
-    shareds.borrow_mut()[d] = Rc::clone(&shared);
-
-    // Respawn every worker of the node at its checkpointed source
-    // position: everything past it was lost with the open fragments and
-    // is reprocessed; everything before it is in the snapshot or in
-    // replayable epochs.
-    spawn_node_workers(
-        sim,
-        d,
-        &shared,
-        partitions,
-        schema,
-        plan,
-        cfg,
-        Some(&ckpt.worker_pos),
-    );
-    obs.instant(
-        Cat::Fault,
-        "promoted",
-        d as u32,
-        RECOVERY_TID,
-        sim.now(),
-        &[
-            ("host", p.host as u64),
-            ("epochs", ckpt.epochs_closed),
-            ("restarts", p.restarts as u64),
-        ],
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1276,7 +999,8 @@ mod tests {
     use crate::query::StreamDef;
     use crate::record::RecordSchema;
     use crate::window::WindowAssigner;
-    use slash_chaos::{ChaosConfig, FaultPlan, FtConfig};
+    use crate::{ClusterRun, QueryPlan, RunReport, SlashCluster, SplitRunConfig};
+    use slash_chaos::{FaultPlan, FtConfig};
 
     fn gen(n: u64, dt: u64, keys: u64) -> Rc<Vec<u8>> {
         let mut buf = Vec::with_capacity((n * 16) as usize);
@@ -1310,7 +1034,6 @@ mod tests {
                 ckpt_max_chunk: 16 * 1024,
                 ckpt_copies: 2,
             },
-            pre_split: Vec::new(),
         }
     }
 
@@ -1360,21 +1083,30 @@ mod tests {
         assert!(ttr.is_some_and(|t| t > SimTime::ZERO), "{ttr:?}");
     }
 
-    /// Hot-key splitting commutes with crash promotion: the same fault
-    /// plan, run with and without pre-split keys, yields bit-identical
-    /// results and final state digests — sub-key deltas restore from the
-    /// checkpoint, the replacement adopts a survivor's ledger copy, and
-    /// the leader-side fold reconciles everything at window close.
+    /// Hot-key splitting composes with the recovery service: the same
+    /// fault plan, run with and without pre-split keys, yields
+    /// bit-identical results and final state digests — sub-key deltas
+    /// restore from the checkpoint, the replacement adopts a survivor's
+    /// ledger copy, and the leader-side fold reconciles everything at
+    /// window close.
     #[test]
     fn pre_split_commutes_with_crash_promotion() {
         let nodes = 3;
         let faults = FaultPlan::new().crash(SimTime::from_micros(200), 1);
         let (base, base_rec) = run(faults.clone(), nodes);
         let parts: Vec<Rc<Vec<u8>>> = (0..nodes).map(|_| gen(60_000, 1, 32)).collect();
-        let mut c = chaos(faults);
-        c.pre_split = vec![5, 17];
-        let (split, rec) =
-            SlashCluster::run_chaos(count_plan(4_000), parts, cfg(nodes), &c, Obs::disabled());
+        let c = chaos(faults);
+        let scfg = SplitRunConfig {
+            pre_split: vec![5, 17],
+            auto: None,
+            ..SplitRunConfig::default()
+        };
+        let out = ClusterRun::new(count_plan(4_000), parts, cfg(nodes))
+            .recovery(&c)
+            .split(&scfg)
+            .run();
+        let (split, rec) = (out.run, out.recovery);
+        assert_eq!(out.split.splits.len(), 2, "both pre-splits must activate");
         assert!(
             rec.events
                 .iter()

@@ -1,5 +1,5 @@
-//! Online hot-key splitting: detection, record forwarding, and the run
-//! driver (DESIGN.md §20).
+//! Online hot-key splitting: detection, record forwarding, and the split
+//! service of the one cluster driver (DESIGN.md §20).
 //!
 //! A zipfian-hot key defeats both of Slash's load balancers: with keyed
 //! ingress every record for the key lands on one node, and even with
@@ -18,8 +18,8 @@
 //!   ingest: a node that owns a split key's input stream round-robins the
 //!   key's records across the cluster, so the *pipeline* cost spreads too
 //!   (the state plane alone only spreads the RMWs, which are already
-//!   local). Fault-free runs only; chaos runs split state without
-//!   forwarding.
+//!   local). Fault-free runs only; runs with the recovery service split
+//!   state without forwarding.
 //! * `SplitDriver` — the simulation process that samples heat, ticks
 //!   the director, activates splits on every node's ledger copy in one
 //!   step, and confirms forwarded-record custody (see below).
@@ -58,15 +58,11 @@ use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use slash_desim::{ProcId, Process, Sim, SimTime, Step};
-use slash_obs::{HeatEntry, HeatSketch, Obs, HEAT_CAPACITY};
-use slash_rdma::Fabric;
-use slash_state::backend::{build_cluster_obs, SsbConfig};
+use slash_obs::{HeatEntry, HeatSketch, HEAT_CAPACITY};
 use slash_state::SUB_KEY_TAG;
 
-use crate::cluster::{assemble_report, spawn_node_workers, RunConfig, RunReport};
-use crate::query::QueryPlan;
+use crate::cluster::{Cluster, Shareds};
 use crate::worker::NodeShared;
-use crate::SlashCluster;
 
 /// What the split director sees each tick: the cluster-merged heat
 /// sketch, cumulative over the run so far.
@@ -198,7 +194,7 @@ struct FwdInner {
 
 /// The record-forwarding plane: per-destination inboxes plus the
 /// watermark floor (see the module docs for the custody chain). One
-/// instance is shared by every node of a [`SlashCluster::run_split`] run.
+/// instance is shared by every node of a forwarding run.
 #[derive(Debug)]
 pub struct ForwardFabric {
     inner: RefCell<FwdInner>,
@@ -328,7 +324,7 @@ impl ForwardFabric {
     }
 }
 
-/// Configuration for a [`SlashCluster::run_split`] run.
+/// Configuration of the split service ([`crate::ClusterRun::split`]).
 #[derive(Debug, Clone)]
 pub struct SplitRunConfig {
     /// Keys split before the first record (deterministic scenarios and
@@ -354,7 +350,7 @@ impl Default for SplitRunConfig {
     }
 }
 
-/// What a split run did beyond the base [`RunReport`].
+/// What a split run did beyond the base [`crate::RunReport`].
 #[derive(Debug, Clone, Default)]
 pub struct SplitReport {
     /// Keys split online, with activation (virtual) times; pre-splits are
@@ -368,9 +364,10 @@ pub struct SplitReport {
 
 /// The split control-loop process: samples heat, ticks the director,
 /// activates splits on every ledger copy in one step, and confirms
-/// forwarded-epoch merges to advance the watermark floor.
+/// forwarded-epoch merges to advance the watermark floor. It reads the
+/// live node slots, so a replaced node is treated like its predecessor.
 struct SplitDriver {
-    shareds: Vec<Rc<RefCell<NodeShared>>>,
+    shareds: Shareds,
     fwd: Option<Rc<ForwardFabric>>,
     director: Box<dyn SplitDirector>,
     sample_every: SimTime,
@@ -383,7 +380,8 @@ struct SplitDriver {
 
 impl Process for SplitDriver {
     fn step(&mut self, sim: &mut Sim, _me: ProcId) -> Step {
-        if self.shareds.iter().all(|s| s.borrow().finished) {
+        let shareds = self.shareds.borrow();
+        if shareds.iter().all(|s| s.borrow().finished) {
             return Step::Done;
         }
         if !self.primed {
@@ -393,9 +391,8 @@ impl Process for SplitDriver {
         // Floor confirmation: an epoch of node i advertised at wm is
         // merged everywhere once every peer's slot for i reaches wm.
         if let Some(fwd) = &self.fwd {
-            for node in 0..self.shareds.len() {
-                let min_peer_slot = self
-                    .shareds
+            for node in 0..shareds.len() {
+                let min_peer_slot = shareds
                     .iter()
                     .enumerate()
                     .filter(|(j, _)| *j != node)
@@ -409,7 +406,7 @@ impl Process for SplitDriver {
         // cumulative; re-merging into a held accumulator would double
         // count).
         let mut merged = HeatSketch::new(HEAT_CAPACITY);
-        for s in &self.shareds {
+        for s in shareds.iter() {
             if let Some(h) = s.borrow().ssb.heat_snapshot() {
                 merged.merge(h);
             }
@@ -426,13 +423,13 @@ impl Process for SplitDriver {
             // Ledger copies are deterministic: activation either succeeds
             // on every node or (gate/salt rejection) on none. Probe the
             // first copy so a rejected key leaves all copies untouched.
-            let Some(first) = self.shareds.first() else {
+            let Some(first) = shareds.first() else {
                 break;
             };
             if !first.borrow_mut().ssb.split_activate(gk) {
                 continue;
             }
-            for s in self.shareds.iter().skip(1) {
+            for s in shareds.iter().skip(1) {
                 let ok = s.borrow_mut().ssb.split_activate(gk);
                 debug_assert!(ok, "ledger copies must agree on activation");
             }
@@ -446,125 +443,73 @@ impl Process for SplitDriver {
     }
 }
 
-impl SlashCluster {
-    /// Run `plan` with hot-key splitting: every node carries a split
-    /// ledger and a heat sketch, a `SplitDriver` activates splits
-    /// (pre-configured and/or detected online), and — when
-    /// `scfg.forward` is set — split-key records are round-robined
-    /// across nodes through a [`ForwardFabric`].
-    ///
-    /// Results and final state are bit-exact against the unsplit
-    /// [`SlashCluster::run`] of the same inputs (the headline invariant;
-    /// the hotpath-bench `--zipf` sweep cross-checks it on every config).
-    ///
-    /// Restrictions: tumbling windows only (the sliding-window sibling
-    /// merge peeks canonical keys in live state, which a split would
-    /// bypass), and forwarding additionally requires one worker per node
-    /// (the floor custody chain tracks per-node epochs).
-    pub fn run_split(
-        plan: QueryPlan,
-        partitions: Vec<Rc<Vec<u8>>>,
-        cfg: RunConfig,
-        scfg: &SplitRunConfig,
-        obs: Obs,
-    ) -> (RunReport, SplitReport) {
+/// The split service: per-node ledgers and heat sketches, the
+/// `SplitDriver`, and the [`ForwardFabric`] when forwarding. Attached by
+/// [`ClusterRun::split`](crate::ClusterRun::split). Tumbling windows only
+/// (the sliding-window sibling merge peeks canonical keys in live state,
+/// which a split would bypass); forwarding also needs one worker per node
+/// (the floor custody chain tracks per-node epochs).
+pub(crate) struct SplitService<'a> {
+    scfg: &'a SplitRunConfig,
+    fwd: Option<Rc<ForwardFabric>>,
+    report: Rc<RefCell<SplitReport>>,
+}
+
+impl<'a> SplitService<'a> {
+    pub(crate) fn new(scfg: &'a SplitRunConfig, cl: &Cluster) -> Self {
         assert_eq!(
-            partitions.len(),
-            cfg.nodes * cfg.workers_per_node,
-            "need one partition per worker"
-        );
-        assert_eq!(
-            plan.window().slices_per_window(),
+            cl.plan.window().slices_per_window(),
             1,
             "hot-key splitting requires tumbling windows"
         );
         if scfg.forward {
             assert_eq!(
-                cfg.workers_per_node, 1,
+                cl.cfg.workers_per_node, 1,
                 "record forwarding requires one worker per node"
             );
         }
-        let mut sim = Sim::new();
-        let fabric = Fabric::new(cfg.fabric);
-        let node_ids = fabric.add_nodes(cfg.nodes);
-        let ssb_cfg = SsbConfig {
-            nodes: cfg.nodes,
-            epoch_bytes: cfg.epoch_bytes,
-            channel: cfg.channel,
-        };
-        let ssb_nodes =
-            build_cluster_obs(&fabric, &node_ids, plan.descriptor(), ssb_cfg, obs.clone());
-
-        let fwd = scfg
-            .forward
-            .then(|| Rc::new(ForwardFabric::new(cfg.nodes)));
-        let report = Rc::new(RefCell::new(SplitReport::default()));
-        let plan = Rc::new(plan);
-        let schema = plan.input().schema;
-        let mut shareds = Vec::with_capacity(cfg.nodes);
-        for (node, ssb) in ssb_nodes.into_iter().enumerate() {
-            let shared = Rc::new(RefCell::new(NodeShared::new(
-                ssb,
-                cfg.workers_per_node,
-                cfg.cost.mem_bandwidth,
-                cfg.collect_results,
-            )));
-            {
-                let mut sh = shared.borrow_mut();
-                sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-                if obs.is_enabled() {
-                    sh.instrument(obs.clone(), node);
-                }
-                sh.ssb.split_enable();
-                for &gk in &scfg.pre_split {
-                    if sh.ssb.split_activate(gk) && node == 0 {
-                        report.borrow_mut().splits.push((gk, SimTime::ZERO));
-                    }
-                }
-                sh.fwd = fwd.clone();
-            }
-            spawn_node_workers(&mut sim, node, &shared, &partitions, schema, &plan, &cfg, None);
-            shareds.push(shared);
+        SplitService {
+            scfg,
+            fwd: scfg.forward.then(|| Rc::new(ForwardFabric::new(cl.cfg.nodes))),
+            report: Rc::new(RefCell::new(SplitReport::default())),
         }
+    }
 
-        let director: Box<dyn SplitDirector> = match scfg.auto {
+    /// Per-node setup: enable the ledger, apply the pre-splits (recorded
+    /// once, at time zero) and join the forwarding plane.
+    pub(crate) fn attach(&self, sh: &mut NodeShared, node: usize) {
+        sh.ssb.split_enable();
+        for &gk in &self.scfg.pre_split {
+            if sh.ssb.split_activate(gk) && node == 0 {
+                self.report.borrow_mut().splits.push((gk, SimTime::ZERO));
+            }
+        }
+        sh.fwd = self.fwd.clone();
+    }
+
+    /// Once every node is set up: spawn the split driver process.
+    pub(crate) fn spawn_driver(&self, cl: &mut Cluster) {
+        let director: Box<dyn SplitDirector> = match self.scfg.auto {
             Some(policy) => Box::new(HeatSplitDirector::new(policy)),
             None => Box::new(StaticSplitDirector),
         };
-        sim.spawn(SplitDriver {
-            shareds: shareds.clone(),
-            fwd: fwd.clone(),
+        cl.sim.spawn(SplitDriver {
+            shareds: Rc::clone(&cl.shareds),
+            fwd: self.fwd.clone(),
             director,
-            sample_every: scfg.sample_every.max(SimTime::from_nanos(1)),
-            report: Rc::clone(&report),
+            sample_every: self.scfg.sample_every.max(SimTime::from_nanos(1)),
+            report: Rc::clone(&self.report),
             primed: false,
         });
+    }
 
-        loop {
-            if shareds.iter().all(|s| s.borrow().finished) {
-                break;
-            }
-            assert!(
-                sim.now() <= cfg.max_virtual_time,
-                "query did not complete within the virtual-time budget \
-                 (possible protocol livelock)"
-            );
-            assert!(
-                sim.pending_events() > 0,
-                "simulation quiesced before the query completed (deadlock)"
-            );
-            let horizon = sim.now() + SimTime::from_millis(10);
-            sim.run_until(horizon);
+    /// The split report, with the forwarding plane's totals.
+    pub(crate) fn finish(self) -> SplitReport {
+        let mut report = self.report.borrow().clone();
+        if let Some(f) = &self.fwd {
+            (report.forwarded_records, report.forwarded_bytes) = f.forwarded();
         }
-        let completion_time = sim.now();
-        let run = assemble_report(&shareds, &fabric, &obs, completion_time);
-        let mut split_report = report.borrow().clone();
-        if let Some(f) = &fwd {
-            let (recs, bytes) = f.forwarded();
-            split_report.forwarded_records = recs;
-            split_report.forwarded_bytes = bytes;
-        }
-        (run, split_report)
+        report
     }
 }
 
@@ -675,6 +620,8 @@ mod tests {
     use crate::query::StreamDef;
     use crate::record::RecordSchema;
     use crate::recovery::results_digest;
+    use crate::{QueryPlan, RunConfig, SlashCluster};
+    use slash_obs::Obs;
     use crate::window::WindowAssigner;
 
     /// `n` 16-byte records of (ts, key): ts += dt, keys zipf-ish skewed —

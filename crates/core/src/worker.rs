@@ -24,8 +24,9 @@ use std::rc::Rc;
 use slash_desim::{Link, ProcId, Process, Sim, SimTime, Step};
 use slash_obs::{Cat, Obs, Stage};
 use slash_state::backend::SsbNode;
-use slash_state::{pack_key, DrainedValue};
+use slash_state::{pack_key, DrainedValue, StateError};
 
+use crate::cluster::RunConfig;
 use crate::cost::CostModel;
 use crate::hotpath::HotPath;
 use crate::metrics::{CostCategory, EngineMetrics};
@@ -79,17 +80,17 @@ pub struct NodeShared {
     pub worker_pos: Vec<usize>,
     /// Set by the trigger worker once the distributed query is complete.
     pub finished: bool,
-    /// Set by the chaos driver when this node's process is killed; every
-    /// worker observes it at its next step and terminates.
+    /// Set by the recovery service when this node's port is found dead;
+    /// every worker observes it at its next step and terminates.
     pub crashed: bool,
-    /// Set by the elastic driver at a planned-handoff cutover: workers
+    /// Set by the handoff service at a planned-handoff cutover: workers
     /// stop cleanly at their next step (no batch is half-applied, state
     /// mutations happen synchronously inside a step), so the checkpoint
     /// the driver captures right after setting this flag is exact.
     pub halted: bool,
-    /// Fault-tolerance hooks (checkpoint store); `None` outside
-    /// [`crate::SlashCluster::run_chaos`] runs so the fault-free fast
-    /// path stays untouched.
+    /// Fault-tolerance hooks (checkpoint store); `None` unless the run
+    /// attaches the recovery service, so the fault-free fast path stays
+    /// untouched.
     pub(crate) ft: Option<crate::recovery::FtState>,
     /// Virtual time when this node consumed its last source record.
     pub last_ingest: SimTime,
@@ -99,9 +100,9 @@ pub struct NodeShared {
     pub obs: Obs,
     /// Metric label for this node (e.g. `node3`).
     pub obs_label: String,
-    /// Record-forwarding plane for hot-key splitting; `None` outside
-    /// [`crate::SlashCluster::run_split`] runs with forwarding enabled,
-    /// so the ordinary ingest path stays untouched.
+    /// Record-forwarding plane for hot-key splitting; `None` unless the
+    /// run attaches the split service with forwarding enabled, so the
+    /// ordinary ingest path stays untouched.
     pub fwd: Option<Rc<crate::split::ForwardFabric>>,
 }
 
@@ -129,6 +130,39 @@ impl NodeShared {
             obs_label: String::new(),
             fwd: None,
         }
+    }
+
+    /// The shared state of `node` in a run under `cfg`, on the cost
+    /// model's clock and instrumented when `obs` is enabled.
+    pub fn for_run(ssb: SsbNode, node: usize, cfg: &RunConfig, obs: &Obs) -> Self {
+        let mut sh = NodeShared::new(
+            ssb,
+            cfg.workers_per_node,
+            cfg.cost.mem_bandwidth,
+            cfg.collect_results,
+        );
+        sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
+        if obs.is_enabled() {
+            sh.instrument(obs.clone(), node);
+        }
+        sh
+    }
+
+    /// Publish this node's final counters and SSB metrics into the
+    /// registry it was instrumented with; a no-op otherwise.
+    pub fn publish_obs(&self) {
+        let (obs, label) = (&self.obs, self.obs_label.as_str());
+        if !obs.is_enabled() {
+            return;
+        }
+        obs.counter_add("records", label, self.records);
+        obs.counter_add("instructions", label, self.metrics.instructions);
+        obs.counter_add("mem_bytes", label, self.metrics.mem_bytes);
+        obs.counter_add("combiner_folds", label, self.metrics.combiner_folds);
+        obs.counter_add("combiner_flushes", label, self.metrics.combiner_flushes);
+        obs.counter_add("state_updates", label, self.metrics.state_updates);
+        obs.gauge_set("ipc", label, self.metrics.ipc());
+        self.ssb.publish_obs();
     }
 
     /// Attach an observability handle; workers then emit batch spans and
@@ -390,6 +424,26 @@ impl SlashWorker {
         (pipeline_ns, apply_ns, mem, records)
     }
 
+    /// Account for an epoch-close attempt during record processing: a
+    /// failure is flight-recorded; a close of `delta` bytes is charged
+    /// (closing scans the fragments' delta regions and encodes chunks —
+    /// §7.2.2 step ②, mark + read the log), checkpointed and noted to the
+    /// forward fabric. Returns the close's `(cpu_ns, delta_bytes)`.
+    fn epoch_closed(
+        &self,
+        sh: &mut NodeShared,
+        closed: Result<Option<u64>, StateError>,
+    ) -> Option<(f64, u64)> {
+        let delta = closed
+            .map_err(|e| sh.obs.record_failure("epoch close", &format!("{e:?}")))
+            .ok()??;
+        let close_ns = 800.0 + delta as f64 * 0.05;
+        sh.metrics.charge(CostCategory::MemoryBound, close_ns);
+        crate::recovery::on_epoch_closed(sh);
+        self.note_fwd_close(sh);
+        Some((close_ns, delta))
+    }
+
     /// After any successful epoch close on a forwarding run, hand custody
     /// of this node's unshipped forwarded timestamps to the in-flight
     /// stage (the epoch's chunks carry them; see [`crate::split`]).
@@ -583,23 +637,10 @@ impl Process for SlashWorker {
             } else {
                 sh.ssb.maybe_close_epoch(sim)
             };
-            let closed_delta = match closed {
-                Ok(d) => d,
-                Err(e) => {
-                    sh.obs.record_failure("epoch close", &format!("{e:?}"));
-                    None
-                }
-            };
-            if let Some(delta) = closed_delta {
-                // Closing an epoch scans the fragments' delta regions and
-                // encodes chunks (§7.2.2 step ② — mark + read the log).
-                let close_ns = 800.0 + delta as f64 * 0.05;
+            if let Some((close_ns, delta)) = self.epoch_closed(&mut sh, closed) {
                 cpu += close_ns;
                 seg_close += close_ns;
-                sh.metrics.charge(CostCategory::MemoryBound, close_ns);
                 mem_bytes_extra += delta;
-                crate::recovery::on_epoch_closed(&mut sh);
-                self.note_fwd_close(&sh);
             }
             mem_bytes += mem_bytes_extra;
         } else if let crate::source::SourcePoll::NotReady(at) = poll {
@@ -652,21 +693,11 @@ impl Process for SlashWorker {
                 mem_bytes += m;
                 batch_records += n;
                 fwd_records = n;
-                let closed = match sh.ssb.maybe_close_epoch(sim) {
-                    Ok(d) => d,
-                    Err(e) => {
-                        sh.obs.record_failure("epoch close", &format!("{e:?}"));
-                        None
-                    }
-                };
-                if let Some(delta) = closed {
-                    let close_ns = 800.0 + delta as f64 * 0.05;
+                let closed = sh.ssb.maybe_close_epoch(sim);
+                if let Some((close_ns, delta)) = self.epoch_closed(&mut sh, closed) {
                     cpu += close_ns;
                     seg_close += close_ns;
-                    sh.metrics.charge(CostCategory::MemoryBound, close_ns);
                     mem_bytes += delta;
-                    crate::recovery::on_epoch_closed(&mut sh);
-                    self.note_fwd_close(&sh);
                 }
             }
         }
@@ -804,11 +835,6 @@ impl Process for SlashWorker {
     fn name(&self) -> &str {
         "slash-worker"
     }
-}
-
-/// Records-processed accessor used by the cluster driver.
-pub fn node_records(shared: &Rc<RefCell<NodeShared>>) -> u64 {
-    shared.borrow().records
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ use slash_core::{
 use slash_desim::{Sim, SimTime};
 use slash_net::spsc::{spsc_channel, SpscReceiver, SpscSender};
 use slash_obs::{MetricsRegistry, Obs};
-use slash_state::backend::{SsbConfig, SsbNode};
+use slash_state::backend::SsbNode;
 use slash_state::{DeltaReceiver, DeltaSender};
 
 use crate::{JobSpec, Scheduler};
@@ -184,12 +184,7 @@ fn drive_node(
 ) -> NodeReport {
     let plan = Rc::new((factory)());
     let schema = plan.input().schema;
-    let ssb_cfg = SsbConfig {
-        nodes: cfg.nodes,
-        epoch_bytes: cfg.epoch_bytes,
-        channel: cfg.channel,
-    };
-    let mut ssb = SsbNode::detached(node, plan.descriptor(), ssb_cfg);
+    let mut ssb = SsbNode::detached(node, plan.descriptor(), cfg.ssb_config());
     for (leader, tx) in tx_row.into_iter().enumerate() {
         if let Some(tx) = tx {
             ssb.replace_sender(leader, DeltaSender::over_spsc(tx));
@@ -204,19 +199,7 @@ fn drive_node(
     } else {
         Obs::disabled()
     };
-    let shared = Rc::new(RefCell::new(NodeShared::new(
-        ssb,
-        cfg.workers_per_node,
-        cfg.cost.mem_bandwidth,
-        cfg.collect_results,
-    )));
-    {
-        let mut sh = shared.borrow_mut();
-        sh.metrics.set_clock_ghz(cfg.cost.clock_ghz);
-        if obs.is_enabled() {
-            sh.instrument(obs.clone(), node);
-        }
-    }
+    let shared = Rc::new(RefCell::new(NodeShared::for_run(ssb, node, &cfg, &obs)));
 
     // `spawn_node_workers` indexes partitions node-major across the whole
     // cluster; pad the prefix so this node's slots land where it looks.
@@ -264,17 +247,7 @@ fn drive_node(
     let completion = sim.now();
 
     let sh = shared.borrow();
-    if obs.is_enabled() {
-        let label = format!("node{node}");
-        obs.counter_add("records", &label, sh.records);
-        obs.counter_add("instructions", &label, sh.metrics.instructions);
-        obs.counter_add("mem_bytes", &label, sh.metrics.mem_bytes);
-        obs.counter_add("combiner_folds", &label, sh.metrics.combiner_folds);
-        obs.counter_add("combiner_flushes", &label, sh.metrics.combiner_flushes);
-        obs.counter_add("state_updates", &label, sh.metrics.state_updates);
-        obs.gauge_set("ipc", &label, sh.metrics.ipc());
-        sh.ssb.publish_obs();
-    }
+    sh.publish_obs();
     NodeReport {
         node,
         records: sh.records,
@@ -294,18 +267,7 @@ fn drive_node(
 /// produces. Virtual times are per-node maxima (each node has its own
 /// clock); byte counts come from the SPSC links instead of the fabric.
 fn assemble(reports: Vec<NodeReport>, obs: &Obs) -> RunReport {
-    let mut report = RunReport {
-        records: 0,
-        processing_time: SimTime::ZERO,
-        completion_time: SimTime::ZERO,
-        emitted: 0,
-        total_pairs: 0,
-        results: Vec::new(),
-        metrics: EngineMetrics::default(),
-        per_node: Vec::new(),
-        state_digests: Vec::new(),
-        net_tx_bytes: 0,
-    };
+    let mut report = RunReport::default();
     for r in reports {
         report.records += r.records;
         report.processing_time = report.processing_time.max(r.last_ingest);

@@ -47,6 +47,11 @@ cargo run --release -p slash-verify --bin slash-trace-check -- "$trace_dir/a.jso
 
 echo "==> [9/17] chaos suite (every fault type recovers to the no-fault state)"
 cargo run --release --bin chaos-suite
+# The recovery-latency table is deterministic: a fresh run must be
+# byte-identical to the checked-in results/recovery_latency.csv.
+SLASH_RESULTS="$trace_dir" cargo run --release -p slash-bench --bin repro -- recovery >/dev/null
+cmp "$trace_dir/recovery_latency.csv" results/recovery_latency.csv
+echo "recovery: fresh repro table byte-identical to results/recovery_latency.csv"
 
 echo "==> [10/17] recovery golden trace (failover example, byte-identical + validated)"
 SLASH_TRACE_OUT="$trace_dir/f_a.json" cargo run --release --example failover >/dev/null
@@ -120,9 +125,12 @@ echo "==> [15/17] elastic rescale gate (diurnal bench, golden trace, handoff rac
 # The diurnal 4->8->4 scale-out-and-back bench: zero lost records, results
 # and state digests bit-exact vs a static run of the same curve, zero
 # aborted migrations, full spread at peak, full pack-in at the end, and
-# worst cutover stall within the SLO.toml [rescale] budget. Writes
-# BENCH_rescale.json + results/rescale.csv.
+# worst cutover stall within the SLO.toml [rescale] budget. Rewrites
+# BENCH_rescale.json + results/rescale.csv, which are deterministic: the
+# stage fails if the fresh run changed either checked-in file.
 cargo run --release -p slash-bench --bin repro -- rescale
+git diff --exit-code -- BENCH_rescale.json results/rescale.csv
+echo "rescale: fresh bench outputs identical to the checked-in files"
 # The rescale example is a golden trace: same seed, same curve, same
 # migration timeline, byte-identical Chrome trace JSON.
 SLASH_TRACE_OUT="$trace_dir/r_a.json" cargo run --release --example rescale >/dev/null

@@ -48,7 +48,6 @@ fn run_with(
             ckpt_max_chunk: 16 * 1024,
             ckpt_copies,
         },
-        pre_split: Vec::new(),
     };
     SlashCluster::run_chaos(w.plan, w.partitions, cfg, &chaos, Obs::disabled())
 }

@@ -30,7 +30,6 @@ fn chaos_config_copies(plan: FaultPlan, ckpt_copies: usize) -> ChaosConfig {
             ckpt_max_chunk: 16 * 1024,
             ckpt_copies,
         },
-        pre_split: Vec::new(),
     }
 }
 

@@ -138,7 +138,6 @@ fn chaos_crash_recovery_is_combiner_invariant() {
                 ckpt_max_chunk: 16 * 1024,
                 ckpt_copies: 2,
             },
-            pre_split: Vec::new(),
         };
         SlashCluster::run_chaos(w.plan, w.partitions, cfg, &chaos_cfg, Obs::disabled())
     };
